@@ -15,9 +15,11 @@
 // the AoS per-query path, the fused SoA batch path, the work-stealing
 // parallel batch path (threads recorded in the workload stanza — the
 // parallel-vs-serial ratio only means something at 4+ hardware threads),
-// and the kd-tree/FlatStore hybrid, and writes the medians to PATH — the
-// machine-readable perf trajectory (BENCH_kernels.json) the ROADMAP
-// tracks.  Without the flag it is a plain google-benchmark binary.
+// and the kd-tree/FlatStore hybrid, then the fused batch path at one
+// offline shard's shape (8,000 points, d=64, ℓ=32, 64-query block), and
+// writes the medians to PATH — the machine-readable perf trajectory
+// (BENCH_kernels.json) the ROADMAP tracks.  Without the flag it is a
+// plain google-benchmark binary.
 
 #include <benchmark/benchmark.h>
 
@@ -537,6 +539,23 @@ int emit_bench_json(const std::string& path) {
     benchmark::DoNotOptimize(batch);
   });
 
+  // Offline-shard row: one machine's shard of perfbench's
+  // offline_classify_d64 workload (8,000 points at d = 64, a 64-query
+  // block, ℓ = 32, squared Euclidean; uniform points instead of its
+  // Gaussian mixture) through the dispatched fused kernel.  This is the
+  // high-d shape where scoring dominates a query; the d = 8 rows above
+  // guard the low-d side.
+  constexpr std::size_t kShardPoints = 8000;
+  constexpr std::size_t kShardDim = 64;
+  constexpr std::size_t kShardEll = 32;
+  constexpr std::size_t kShardQueries = 64;
+  const auto shard_fx = make_scoring_fixture(kShardPoints, kShardDim, kShardQueries);
+  const PathTiming shard = time_path(kRepeats, kShardPoints, kShardQueries, [&] {
+    fused_top_ell_batch(shard_fx.store, shard_fx.queries, kShardEll,
+                        MetricKind::SquaredEuclidean, out, scratch);
+    benchmark::DoNotOptimize(out);
+  });
+
   std::vector<PathRow> rows;
   rows.emplace_back("aos_per_query", aos);
   rows.emplace_back("soa_materialized", soa_mat);
@@ -563,6 +582,12 @@ int emit_bench_json(const std::string& path) {
     write_path(f, rows[i], i + 1 < rows.size());
   }
   std::fprintf(f, "  },\n");
+  std::fprintf(f,
+               "  \"offline_shard\": {\"points\": %zu, \"dim\": %zu, \"ell\": %zu, "
+               "\"queries\": %zu, \"metric\": \"squared-euclidean\", \"soa_fused_batch\": "
+               "{\"median_ms\": %.3f, \"ns_per_point\": %.3f, \"queries_per_sec\": %.1f}},\n",
+               kShardPoints, kShardDim, kShardEll, kShardQueries, shard.median_ms,
+               shard.ns_per_point, shard.queries_per_sec);
   std::fprintf(f, "  \"speedup_fused_vs_aos\": %.2f,\n", aos.median_ms / fused.median_ms);
   if (scalar_forced_ms.has_value()) {
     std::fprintf(f, "  \"speedup_simd_vs_scalar\": %.2f,\n", *scalar_forced_ms / fused.median_ms);
@@ -596,7 +621,8 @@ int emit_bench_json(const std::string& path) {
     std::printf(", simd/scalar %.2fx", *scalar_forced_ms / fused.median_ms);
   }
   std::printf(", hybrid/brute %.2fx", fused.median_ms / hybrid.median_ms);
-  std::printf(", facade %.2f ms (%.2fx fused))\n", facade.median_ms, facade.median_ms / fused.median_ms);
+  std::printf(", facade %.2f ms (%.2fx fused)", facade.median_ms, facade.median_ms / fused.median_ms);
+  std::printf("; offline shard d=%zu %.2f ms)\n", kShardDim, shard.median_ms);
   return 0;
 }
 

@@ -83,7 +83,8 @@ void RowScorer::score(std::span<const std::uint32_t> rows, double* dist) {
       std::span<const double> src = store_->dim_coords(j);
       for (std::size_t i = 0; i < m; ++i) col[i] = src[rows[base + i]];
     }
-    ops_->tile_scores(kind_, cols_.data(), query_.data(), d, 0, m, dist_pad_.data());
+    const double* query = query_.data();
+    ops_->tile_scores(kind_, cols_.data(), &query, 1, d, 0, m, dist_pad_.data(), kScoreChunk);
     std::copy_n(dist_pad_.data(), m, dist + base);
   }
 }

@@ -761,12 +761,12 @@ ServiceStats KnnService::stats() const {
 // --- observability -----------------------------------------------------------
 
 std::string KnnService::metrics_text() const {
-  ensure_built();
+  (void)ensure_built();
   return obs::registry().prometheus_text();
 }
 
 std::string KnnService::metrics_json() const {
-  ensure_built();
+  (void)ensure_built();
   return obs::registry().json_text();
 }
 
@@ -1097,14 +1097,14 @@ RecoveryReport KnnService::recover_locked(State& state, std::size_t machine) {
 
 RecoveryReport KnnService::recover_machine(std::size_t machine) {
   State& state = ensure_fault_tolerant();
-  ensure_live();
+  (void)ensure_live();
   const std::lock_guard<std::mutex> lock(state.mutex);
   return recover_locked(state, machine);
 }
 
 std::vector<RecoveryReport> KnnService::recover_all() {
   State& state = ensure_fault_tolerant();
-  ensure_live();
+  (void)ensure_live();
   const std::lock_guard<std::mutex> lock(state.mutex);
   std::vector<RecoveryReport> reports;
   for (const std::size_t machine : state.health->dead_set()) {
@@ -1115,7 +1115,7 @@ std::vector<RecoveryReport> KnnService::recover_all() {
 
 std::vector<PointId> KnnService::live_ids_on(std::size_t machine) const {
   State& state = ensure_fault_tolerant();
-  ensure_live();
+  (void)ensure_live();
   const std::lock_guard<std::mutex> lock(state.mutex);
   return state.mirror->ids_on(machine);
 }

@@ -15,12 +15,15 @@ namespace {
 using simd::HeapState;
 using simd::KernelOps;
 
-/// Points per block.  One column slice (8 KB) plus the distance tile stay
-/// resident while the whole query block streams over them.  Must be a
-/// multiple of simd::kTilePad: the vector kernels full-width-store scored
-/// tails and full-width-load prefilter blocks into the tile buffer, and
-/// round_up(m, kTilePad) <= kTile is what bounds those accesses.
-constexpr std::size_t kTile = 1024;
+/// Points per tile.  batch_impl scores each tile one query block at a
+/// time, so a block's kQueryBlock distance rows (kTile doubles each: 16 KB
+/// in all) stay in L1 between scoring and the heap updates that read them,
+/// while the tile's columns (2 KB per dimension: 128 KB at d = 64) stay in
+/// L2 across the blocks.  Must be a multiple of simd::kTilePad: the vector
+/// kernels full-width-store scored tails and full-width-load prefilter
+/// blocks into each row, and round_up(m, kTilePad) <= kTile is what
+/// bounds those accesses.
+constexpr std::size_t kTile = 256;
 static_assert(kTile % simd::kTilePad == 0, "tile buffer must absorb vector tails");
 
 using DistId = simd::DistId;
@@ -51,7 +54,7 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
   const std::size_t n = store.size();
   const std::size_t d = store.dim();
   const std::size_t num_queries = queries.size();
-  scratch.dist.resize(kTile);
+  scratch.dist.resize(std::min(num_queries, simd::kQueryBlock) * kTile);
   scratch.heaps.resize(num_queries * cap);
   scratch.heap_sizes.assign(num_queries, 0);
   const PointId* ids = store.ids().data();
@@ -62,12 +65,20 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
 
   for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
     const std::size_t m = std::min(kTile, n - t0);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      ops.tile_scores(kind, cols.get(), queries[q].coords.data(), d, t0, m,
-                      scratch.dist.data());
-      HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
-      ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data(), ids + t0, m);
-      scratch.heap_sizes[q] = heap.size;
+    for (std::size_t q0 = 0; q0 < num_queries; q0 += simd::kQueryBlock) {
+      const std::size_t nq = std::min(simd::kQueryBlock, num_queries - q0);
+      const double* block[simd::kQueryBlock];
+      for (std::size_t b = 0; b < nq; ++b) block[b] = queries[q0 + b].coords.data();
+      ops.tile_scores(kind, cols.get(), block, nq, d, t0, m, scratch.dist.data(), kTile);
+      // Each query's heap still sees its tiles in ascending order, so the
+      // selection sequence is exactly the one-query-at-a-time one.
+      for (std::size_t b = 0; b < nq; ++b) {
+        const std::size_t q = q0 + b;
+        HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
+        ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data() + b * kTile,
+                        ids + t0, m);
+        scratch.heap_sizes[q] = heap.size;
+      }
     }
   }
 
@@ -92,11 +103,12 @@ void score_store_impl(const KernelOps& ops, MetricKind kind, const FlatStore& st
   const std::size_t d = store.dim();
   const PointId* ids = store.ids().data();
   const ColumnPointers cols(store);
+  const double* coords = query.coords.data();
   double dist[kTile];
   out.resize(n);
   for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
     const std::size_t m = std::min(kTile, n - t0);
-    ops.tile_scores(kind, cols.get(), query.coords.data(), d, t0, m, dist);
+    ops.tile_scores(kind, cols.get(), &coords, 1, d, t0, m, dist, kTile);
     // Materialization forces every rank into the metric's domain — the
     // fused path's lazy sqrt is exactly what this variant cannot do.  The
     // epilogue rides the same dispatch table as scoring (vsqrtpd on the
@@ -191,11 +203,12 @@ void RangeTopEll::score_range(std::size_t lo, std::size_t hi) {
   DKNN_ASSERT(lo <= hi && hi <= store_.size(), "RangeTopEll: range out of bounds");
   if (cap_ == 0 || lo == hi) return;
   const PointId* ids = store_.ids().data();
+  const double* coords = query_.coords.data();
   HeapState heap{scratch_.heaps.data(), heap_size_, cap_};
   for (std::size_t t0 = lo; t0 < hi; t0 += kTile) {
     const std::size_t m = std::min(kTile, hi - t0);
-    ops_->tile_scores(kind_, scratch_.cols.data(), query_.coords.data(), store_.dim(), t0, m,
-                      scratch_.dist.data());
+    ops_->tile_scores(kind_, scratch_.cols.data(), &coords, 1, store_.dim(), t0, m,
+                      scratch_.dist.data(), kTile);
     ops_->heap_update(kind_, heap, threshold_, scratch_.dist.data(), ids + t0, m);
   }
   heap_size_ = heap.size;

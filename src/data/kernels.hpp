@@ -7,9 +7,11 @@
 /// chases one heap pointer per point.  These kernels instead
 ///
 ///   * stream each coordinate *column* of a FlatStore contiguously
-///     (auto-vectorizing across points),
-///   * process a block of queries against each block of points while the
-///     block is cache-hot, and
+///     (vector lanes map to points),
+///   * score each tile of points against the queries in blocks of up to
+///     simd::kQueryBlock, loading each column vector once per block and
+///     feeding it to one accumulator per query (independent add chains,
+///     and one column pass per block instead of one per query), and
 ///   * fuse selection into scoring with a bounded max-heap per query, so
 ///     when ℓ ≪ n nothing of size n is ever allocated — with a reused
 ///     `KernelScratch`, the per-query hot path is allocation-free after
@@ -52,7 +54,7 @@ struct KernelOps;  // data/simd/kernel_ops.hpp — the per-ISA op table
 /// mark and are then reused; keep one per thread / call site to make the
 /// steady-state query loop allocation-free.
 struct KernelScratch {
-  std::vector<double> dist;                            ///< per-tile distances
+  std::vector<double> dist;                            ///< per-tile distance rows, one per block query
   std::vector<std::pair<double, PointId>> heaps;       ///< Q bounded max-heaps, flattened
   std::vector<std::size_t> heap_sizes;                 ///< live entries per heap
   std::vector<double> thresholds;                      ///< per-query rejection thresholds
@@ -62,8 +64,9 @@ struct KernelScratch {
 /// Scores every point of `store` against every query in `queries`, fused
 /// with bounded top-ℓ selection.  `out` is resized to queries.size();
 /// out[q] holds query q's min(ℓ, n) best keys ascending, ranks
-/// encode_distance-encoded.  Point blocks are reused across the whole query
-/// block while cache-hot.
+/// encode_distance-encoded.  Each point tile is scored one query block
+/// (simd::kQueryBlock queries) at a time; a query's result does not depend
+/// on which other queries share its call.
 void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
                          std::size_t ell, MetricKind kind,
                          std::vector<std::vector<Key>>& out, KernelScratch& scratch);

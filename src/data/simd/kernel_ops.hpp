@@ -49,19 +49,29 @@ struct HeapState {
 /// this, which upper-bounds every in-tile access.
 inline constexpr std::size_t kTilePad = 16;
 
+/// Most queries one tile_scores call scores together.  The vector kernels
+/// load each column vector once and feed it to one accumulator per query,
+/// so a full block costs one column pass instead of kQueryBlock.
+inline constexpr std::size_t kQueryBlock = 8;
+
 /// One ISA's scoring implementation.
 struct KernelOps {
   const char* name;  ///< "scalar" / "avx2" / "avx512"
 
-  /// Raw scores for points [t0, t0 + m) of the column set: squared sums
-  /// for the Euclidean family (sqrt is applied lazily during selection),
-  /// direct values for L1/L∞.  Per point, coordinates accumulate in
-  /// ascending dimension order with one rounding per operation — the exact
-  /// operation sequence of the metric.hpp functors — so every ISA is
-  /// byte-identical to the scalar reference (no FMA, no reassociation).
-  /// `dist` obeys the kTilePad contract above.
-  void (*tile_scores)(MetricKind kind, const double* const* cols, const double* query,
-                      std::size_t d, std::size_t t0, std::size_t m, double* dist);
+  /// Raw scores of queries[0, nq) against points [t0, t0 + m) of the
+  /// column set, 1 <= nq <= kQueryBlock: query b's scores land in the row
+  /// dist[b * stride, b * stride + m).  Squared sums for the Euclidean
+  /// family (sqrt is applied lazily during selection), direct values for
+  /// L1/L∞.  Each (query, point) pair accumulates in ascending dimension
+  /// order with one rounding per operation — the exact operation sequence
+  /// of the metric.hpp functors — in an accumulator no other query
+  /// touches, so every ISA is byte-identical to the scalar reference (no
+  /// FMA, no reassociation) whatever the block size.  Every row obeys the
+  /// kTilePad contract above, so `stride` must be at least
+  /// round_up(m, kTilePad) when nq > 1.
+  void (*tile_scores)(MetricKind kind, const double* const* cols, const double* const* queries,
+                      std::size_t nq, std::size_t d, std::size_t t0, std::size_t m,
+                      double* dist, std::size_t stride);
 
   /// Streams one scored tile into the bounded heap, updating `threshold`
   /// (the raw-domain rejection bound: +∞ until the heap fills, then

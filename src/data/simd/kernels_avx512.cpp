@@ -31,7 +31,12 @@ struct V {
   friend V operator+(V a, V b) { return {_mm512_add_pd(a.v, b.v)}; }
   friend V operator-(V a, V b) { return {_mm512_sub_pd(a.v, b.v)}; }
   friend V operator*(V a, V b) { return {_mm512_mul_pd(a.v, b.v)}; }
-  static V max(V a, V b) { return {_mm512_max_pd(a.v, b.v)}; }
+  // The all-lanes masked form is the same vmaxpd; the unmasked intrinsic
+  // passes GCC 12's self-initialized "undefined" operand, which
+  // -Wuninitialized flags once the query-blocked accumulators unroll.
+  static V max(V a, V b) {
+    return {_mm512_mask_max_pd(a.v, static_cast<__mmask8>(0xFF), a.v, b.v)};
+  }
   static V abs(V a) { return {_mm512_abs_pd(a.v)}; }
   static V sqrt(V a) { return {_mm512_sqrt_pd(a.v)}; }
   void store(double* p) const { _mm512_storeu_pd(p, v); }

@@ -152,8 +152,8 @@ void heap_update_k(HeapState& state, double& threshold, const double* raw,
   }
 }
 
-void tile_scores_entry(MetricKind kind, const double* const* cols, const double* query,
-                       std::size_t d, std::size_t t0, std::size_t m, double* dist) {
+void tile_scores_one(MetricKind kind, const double* const* cols, const double* query,
+                     std::size_t d, std::size_t t0, std::size_t m, double* dist) {
   switch (kind) {
     case MetricKind::Euclidean:
       return tile_scores_k<MetricKind::Euclidean>(cols, query, d, t0, m, dist);
@@ -163,6 +163,16 @@ void tile_scores_entry(MetricKind kind, const double* const* cols, const double*
       return tile_scores_k<MetricKind::Manhattan>(cols, query, d, t0, m, dist);
     case MetricKind::Chebyshev:
       return tile_scores_k<MetricKind::Chebyshev>(cols, query, d, t0, m, dist);
+  }
+}
+
+/// The reference scores a query block one query at a time — the plain
+/// per-query sequence the blocked vector kernels must reproduce per row.
+void tile_scores_entry(MetricKind kind, const double* const* cols, const double* const* queries,
+                       std::size_t nq, std::size_t d, std::size_t t0, std::size_t m,
+                       double* dist, std::size_t stride) {
+  for (std::size_t b = 0; b < nq; ++b) {
+    tile_scores_one(kind, cols, queries[b], d, t0, m, dist + b * stride);
   }
 }
 

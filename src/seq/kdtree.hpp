@@ -116,9 +116,9 @@ private:
 /// while the per-point arithmetic stays the vectorized column kernel.
 class KdRangeIndex {
  public:
-  /// Points per leaf.  A quarter of the kernels' 1024-point tile: small
-  /// enough to prune meaningfully, large enough that the column kernel
-  /// still amortizes its setup over each surviving leaf.
+  /// Points per leaf.  One of the kernels' 256-point tiles: small enough
+  /// to prune meaningfully, large enough that the column kernel still
+  /// amortizes its setup over each surviving leaf.
   static constexpr std::size_t kDefaultLeafSize = 256;
 
   /// Builds the reordered store + tree; O(n·d·log(n/leaf_size)).

@@ -185,10 +185,11 @@ void ThreadPool::TaskGroup::submit(std::function<void()> job) {
       std::lock_guard lock(mutex_);
       if (error_ == nullptr) error_ = std::current_exception();
     }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(mutex_);
-      done_.notify_all();
-    }
+    // Decrement under mutex_: wait() reads pending_ under it, so it cannot
+    // see 0, return and destroy the group until this job's last touch of
+    // the group (the notify and the unlock) is done.
+    std::lock_guard lock(mutex_);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) done_.notify_all();
   });
 }
 

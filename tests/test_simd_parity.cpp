@@ -13,10 +13,12 @@
 //   * NaN-free denormal coordinates (masked lanes and underflowing
 //     accumulators must not flush, trap, or reorder),
 //
-// over the fused batch kernel, the RangeTopEll leaf scorer under random
-// range decompositions (the kd-hybrid entry point), the materializing
-// score_store, and the policy-aware parallel driver path.  Failures log
-// the trial seed via SCOPED_TRACE for a one-line repro.
+// over the fused kernel for one query and for batches of 1 … 2Q+1
+// queries (Q = simd::kQueryBlock, so every remainder of the query block
+// runs after zero, one and two full blocks), the RangeTopEll leaf scorer
+// under random range decompositions (the kd-hybrid entry point), the
+// materializing score_store, and the policy-aware parallel driver path.
+// Failures log the trial seed via SCOPED_TRACE for a one-line repro.
 //
 // ISAs the running CPU lacks are skipped (and logged) — the scalar row is
 // always present, so the suite never passes vacuously.
@@ -26,12 +28,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/driver.hpp"
 #include "data/kernels.hpp"
 #include "data/simd/dispatch.hpp"
+#include "data/simd/kernel_ops.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "seq/kdtree.hpp"
@@ -83,14 +88,41 @@ PointD random_point(std::size_t dim, CoordMode mode, Rng& rng) {
   return PointD(std::move(coords));
 }
 
+/// Queries in the batch leg: enough for two full query blocks plus one.
+constexpr std::size_t kBatchQueries = 2 * simd::kQueryBlock + 1;
+
 struct Trial {
   VectorShard shard;
   PointD query;
+  std::vector<PointD> batch;  ///< kBatchQueries queries, batch[0] == query
   std::size_t dim = 1;
   std::size_t ell = 1;
   MetricKind kind = MetricKind::Euclidean;
   CoordMode mode = CoordMode::Continuous;
 };
+
+/// Fills the batch: t.query, then queries drawn from their own stream (so
+/// the trial's other draws stay as they were).  One batch query repeats
+/// another, so a block also scores two identical queries.
+void add_batch(Trial& t, std::uint64_t seed) {
+  Rng rng(seed);
+  t.batch.assign(1, t.query);
+  while (t.batch.size() < kBatchQueries) {
+    t.batch.push_back(t.batch.size() == simd::kQueryBlock + 2
+                          ? t.batch[rng.below(t.batch.size())]
+                          : random_point(t.dim, t.mode, rng));
+  }
+}
+
+/// The reference answer for every batch query; element 0 is the answer
+/// for t.query.
+std::vector<std::vector<Key>> reference_batch(const Trial& t) {
+  std::vector<std::vector<Key>> expected;
+  for (const PointD& query : t.batch) {
+    expected.push_back(reference_top_ell(t.shard, query, t.kind, t.ell));
+  }
+  return expected;
+}
 
 /// Deterministic shape from (seed, index): `index` walks the dimension
 /// table and 48 consecutive sizes (every tail residue mod 16, three times
@@ -129,21 +161,40 @@ Trial make_trial(std::uint64_t seed, std::uint64_t index) {
     default: t.ell = n + 1 + rng.below(8); break;  // ℓ > n
   }
   t.query = random_point(t.dim, t.mode, rng);
+  add_batch(t, seed ^ 0xBA7C4ULL);
   return t;
 }
 
 /// Scores the trial on one pinned ISA via every kernel entry point and
-/// asserts byte parity with the reference.  `range_rng` drives the
-/// RangeTopEll decomposition (same stream across ISAs → same ranges).
-void check_isa(const Trial& t, const std::vector<Key>& expected, simd::Isa isa,
-               std::uint64_t range_seed) {
+/// asserts byte parity with the reference (`expected_batch` from
+/// reference_batch).  `range_seed` drives the RangeTopEll decomposition
+/// (same stream across ISAs → same ranges).
+void check_isa(const Trial& t, const std::vector<std::vector<Key>>& expected_batch,
+               simd::Isa isa, std::uint64_t range_seed) {
   SCOPED_TRACE(simd::isa_name(isa));
   ForcedIsa pin(isa);
   const FlatStore store(t.shard.points, t.shard.ids);
+  ASSERT_EQ(t.batch.size(), kBatchQueries);
+  const std::vector<Key>& expected = expected_batch[0];
 
-  {  // fused batch kernel
+  {  // fused kernel, one query
     const auto got = fused_top_ell(store, t.query, t.ell, t.kind);
     expect_same_keys(expected, got, "fused");
+  }
+
+  {  // fused kernel over every batch size 1 … 2Q+1: each remainder of the
+     // query block, after zero, one and two full blocks
+    KernelScratch scratch;
+    std::vector<std::vector<Key>> got;
+    for (std::size_t nq = 1; nq <= kBatchQueries; ++nq) {
+      fused_top_ell_batch(store, std::span<const PointD>(t.batch.data(), nq), t.ell, t.kind, got,
+                          scratch);
+      ASSERT_EQ(got.size(), nq);
+      for (std::size_t q = 0; q < nq; ++q) {
+        expect_same_keys(expected_batch[q], got[q],
+                         "batch nq=" + std::to_string(nq) + " q=" + std::to_string(q));
+      }
+    }
   }
 
   {  // RangeTopEll over a random decomposition of [0, n) — the kd-hybrid
@@ -178,7 +229,7 @@ void run_trial(std::uint64_t seed, std::uint64_t index, const std::vector<simd::
         << t.shard.points.size() % 16 << ") metric=" << metric_kind_name(t.kind)
         << " ell=" << t.ell << " mode=" << static_cast<int>(t.mode);
   SCOPED_TRACE(trace.str());
-  const auto expected = reference_top_ell(t.shard, t.query, t.kind, t.ell);
+  const auto expected = reference_batch(t);
   for (const simd::Isa isa : isas) check_isa(t, expected, isa, seed ^ 0x5EEDULL);
 }
 
@@ -231,10 +282,11 @@ TEST(SimdParity, EveryTailResidueTinyN) {
       t.shard.ids.push_back(100 + 3 * i);
     }
     t.query = random_point(8, CoordMode::Continuous, rng);
+    add_batch(t, 0xBA7C4ULL + n);
     std::ostringstream trace;
     trace << "n=" << n << " metric=" << metric_kind_name(t.kind);
     SCOPED_TRACE(trace.str());
-    const auto expected = reference_top_ell(t.shard, t.query, t.kind, t.ell);
+    const auto expected = reference_batch(t);
     for (const simd::Isa isa : isas) check_isa(t, expected, isa, 0xFEEDULL + n);
   }
 }
@@ -256,8 +308,9 @@ TEST(SimdParity, DenormalSaturatedAllMetrics) {
       t.shard.ids.push_back(1 + 7 * i);
     }
     t.query = random_point(t.dim, t.mode, rng);
+    add_batch(t, 0xDE402ULL);
     SCOPED_TRACE(metric_kind_name(kind));
-    const auto expected = reference_top_ell(t.shard, t.query, t.kind, t.ell);
+    const auto expected = reference_batch(t);
     for (const simd::Isa isa : isas) check_isa(t, expected, isa, 0xDE401ULL);
   }
 }
