@@ -11,8 +11,8 @@
 // cache hit rate.  Inserts, deletes, compaction and queries all go through
 // the same service handle a frozen deployment would use.
 //
-//   ./serve_loop [--n=50000] [--dim=8] [--ell=16] [--stores=4] [--ticks=10] \
-//                [--churn=500] [--queries=200] [--seed=7] [--kill=-1] \
+//   ./serve_loop [--n=50000] [--dim=8] [--ell=16] [--stores=4] [--ticks=10]
+//                [--churn=500] [--queries=200] [--seed=7] [--kill=-1]
 //                [--metrics=0] [--metrics-out=PATH] [--trace=0]
 //
 // With --kill=T (a tick index), the service is built fault-tolerant and

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "ann/graph_search.hpp"
 #include "core/binsearch.hpp"
 #include "core/saukas_song.hpp"
 #include "core/simple_knn.hpp"
@@ -207,60 +206,13 @@ std::vector<std::vector<Key>> quantize_scored_shards(std::vector<std::vector<Key
   return shards;
 }
 
-std::vector<FlatStore> make_flat_stores(const std::vector<VectorShard>& shards) {
-  std::vector<FlatStore> stores;
-  stores.reserve(shards.size());
-  for (const auto& shard : shards) {
-    DKNN_REQUIRE(shard.points.size() == shard.ids.size(), "shard points/ids must align");
-    stores.emplace_back(std::span<const PointD>(shard.points),
-                        std::span<const PointId>(shard.ids));
-  }
-  return stores;
-}
-
-std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
-    const std::vector<FlatStore>& stores, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind) {
-  std::vector<std::vector<std::vector<Key>>> out(queries.size());
-  for (auto& per_shard : out) per_shard.resize(stores.size());
-  KernelScratch scratch;
-  std::vector<std::vector<Key>> shard_keys;
-  for (std::size_t m = 0; m < stores.size(); ++m) {
-    // Shard-outer order: each SoA store streams through cache once for the
-    // whole query block.
-    fused_top_ell_batch(stores[m], queries, static_cast<std::size_t>(ell), kind, shard_keys,
-                        scratch);
-    for (std::size_t q = 0; q < queries.size(); ++q) out[q][m] = std::move(shard_keys[q]);
-  }
-  return out;
-}
-
 std::vector<ShardIndex> make_shard_indexes(const std::vector<VectorShard>& shards,
                                            ScoringPolicy policy, std::size_t leaf_size,
                                            const ann::AnnConfig& ann) {
-  std::vector<ShardIndex> indexes(shards.size());
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    const auto& shard = shards[m];
-    DKNN_REQUIRE(shard.points.size() == shard.ids.size(), "shard points/ids must align");
-    const bool eligible = !shard.points.empty() && shard.points[0].dim() >= 1;
-    const bool tree =
-        eligible && (policy == ScoringPolicy::Tree ||
-                     (policy == ScoringPolicy::Auto &&
-                      tree_pays_off(shard.points.size(), shard.points[0].dim())));
-    if (tree) {
-      indexes[m].tree = std::make_unique<KdRangeIndex>(
-          std::span<const PointD>(shard.points), std::span<const PointId>(shard.ids), leaf_size);
-    } else {
-      indexes[m].flat =
-          FlatStore(std::span<const PointD>(shard.points), std::span<const PointId>(shard.ids));
-      // Approx shards keep the flat store (the graph's rerank and the
-      // exact fallback both need it) and lazily attach a k-NN graph.
-      // Shards below min_points stay graph-less and score exactly.
-      if (policy == ScoringPolicy::Approx &&
-          shard.points.size() >= std::max<std::size_t>(ann.min_points, 2)) {
-        indexes[m].ann = std::make_shared<ann::GraphSlot>(ann);
-      }
-    }
+  std::vector<ShardIndex> indexes;
+  indexes.reserve(shards.size());
+  for (const VectorShard& shard : shards) {
+    indexes.push_back(make_shard_index(shard.points, shard.ids, policy, leaf_size, ann));
   }
   return indexes;
 }
@@ -273,40 +225,7 @@ TreeStats tree_stats(const std::vector<ShardIndex>& indexes) {
   return out;
 }
 
-void reset_tree_stats(const std::vector<ShardIndex>& indexes) {
-  for (const ShardIndex& index : indexes) {
-    if (index.has_tree()) index.tree->reset_stats();
-  }
-}
-
 namespace {
-
-/// One (shard, query block) tile through the shard's policy path.  With
-/// `approx` set and a graph slot attached, the beam search replaces the
-/// brute scan (recall semantics — see src/ann/README.md); graph-less
-/// shards ignore the flag and score exactly.
-void score_tile(const ShardIndex& index, std::span<const PointD> queries, std::uint64_t ell,
-                MetricKind kind, bool approx, std::vector<std::vector<Key>>& keys,
-                KernelScratch& scratch) {
-  if (index.has_tree()) {
-    hybrid_top_ell_batch(*index.tree, queries, static_cast<std::size_t>(ell), kind, keys,
-                         scratch);
-    return;
-  }
-  if (approx && index.ann != nullptr) {
-    const ann::KnnGraph& graph = index.ann->get_or_build(index.store());
-    const std::size_t ef = std::max<std::size_t>(index.ann->config().ef, ell);
-    ann::AnnSearchScratch ann_scratch;
-    keys.resize(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ann::ann_top_ell(graph, queries[i], static_cast<std::size_t>(ell), ef, kind, nullptr,
-                       keys[i], ann_scratch, scratch);
-    }
-    return;
-  }
-  fused_top_ell_batch(index.store(), queries, static_cast<std::size_t>(ell), kind, keys,
-                      scratch);
-}
 
 /// Default BatchScoringConfig::shard_split_rows: big enough that the merge
 /// overhead is noise, small enough that a few-hundred-thousand-point shard
@@ -331,7 +250,7 @@ constexpr std::size_t kDefaultShardSplitRows = 1u << 16;
 /// of the concatenated range winners equal the unsplit scan's answer
 /// (fuzzed against the unsplit grid in tests/test_parity.cpp).
 /// `splittable_rows(m) == 0` marks a machine opaque (tree-indexed shards,
-/// serve snapshots) — it is always scored whole.
+/// multi-segment or tombstoned snapshots) — it is always scored whole.
 template <typename ScoreTile, typename SplittableRows, typename ScoreRange>
 std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
     std::size_t machines, std::span<const PointD> queries, std::uint64_t ell,
@@ -442,6 +361,108 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
   return out;
 }
 
+/// Row-range subtile of a split machine: the same bounded-heap kernels the
+/// kd-hybrid and the serve live-run path use, over rows [lo, hi) of the
+/// SoA store.
+void score_rows(const FlatStore& store, std::size_t lo, std::size_t hi,
+                std::span<const PointD> block, std::uint64_t ell, MetricKind kind,
+                std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
+  keys.resize(block.size());
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    RangeTopEll scorer(store, block[i], static_cast<std::size_t>(ell), kind, scratch);
+    scorer.score_range(lo, hi);
+    scorer.finish(keys[i]);
+  }
+}
+
+/// Only brute scans split: a kd-tree shard's traversal is hierarchical,
+/// not a row scan, and an approx-routed shard's beam search walks the
+/// whole graph from fixed seeds.
+bool row_splittable(const ShardIndex& shard, bool approx) {
+  return !shard.has_tree() && !(approx && shard.ann != nullptr);
+}
+
+/// The store a snapshot splits over: the one clean segment holding all of
+/// its live points, when that segment is row-splittable.  Null otherwise —
+/// several segments already bound each scan, and compaction governs their
+/// size.
+const FlatStore* splittable_store(const ServeSnapshot& snapshot, bool approx) {
+  for (const SegmentView& seg : snapshot.segments) {
+    if (seg.live() == 0) continue;
+    const bool sole_clean = seg.live() == snapshot.live_points && seg.dead_count == 0;
+    return sole_clean && row_splittable(*seg.data, approx) ? &seg.data->store() : nullptr;
+  }
+  return nullptr;
+}
+
+/// The machines a snapshot scoring step skips, with its coverage.  With a
+/// `health` registry every machine first passes a deadline-guarded
+/// check_call; null = unguarded, every machine answers.  A Retired machine
+/// whose slot holds no points is skipped silently (its data lives on
+/// survivors).  Every other skipped machine is *reported missing*: a Dead
+/// or timed-out one, a Retired one whose slot still holds points (it was
+/// recovered after the caller's view was taken, so that view has its
+/// points nowhere else), and a null slot — unreachable in the caller's
+/// view (e.g. dead when a service snapshot was published) whatever its
+/// probe says now.
+std::vector<char> skipped_machines(std::span<const SnapshotPtr> snapshots,
+                                   MachineHealth* health, Coverage& coverage) {
+  DKNN_REQUIRE(health == nullptr || health->machines() == snapshots.size(),
+               "guarded scoring: health registry and machine count must align");
+  std::vector<char> skip(snapshots.size(), 0);
+  for (std::size_t m = 0; m < snapshots.size(); ++m) {
+    DKNN_REQUIRE(health != nullptr || snapshots[m] != nullptr,
+                 "score_serve_snapshots_batch: null snapshot");
+    const CallStatus status = health == nullptr ? CallStatus::Ok : health->check_call(m).status;
+    if (status == CallStatus::Retired && snapshots[m] != nullptr &&
+        snapshots[m]->live_points == 0) {
+      skip[m] = 1;
+      continue;
+    }
+    skip[m] = status != CallStatus::Ok || snapshots[m] == nullptr ? 1 : 0;
+    ++coverage.total;
+    if (skip[m] != 0) coverage.missing.push_back(static_cast<std::uint32_t>(m));
+  }
+  return skip;
+}
+
+/// The one body of the snapshot entries; a null `health` means unguarded.
+GuardedScoreBatch score_snapshots(std::span<const SnapshotPtr> snapshots,
+                                  std::span<const PointD> queries, std::uint64_t ell,
+                                  MetricKind kind, MachineHealth* health,
+                                  const BatchScoringConfig& config) {
+  GuardedScoreBatch out;
+  const std::vector<char> skip = skipped_machines(snapshots, health, out.coverage);
+  std::vector<const FlatStore*> split_store(snapshots.size(), nullptr);
+  for (std::size_t m = 0; m < snapshots.size(); ++m) {
+    if (!skip[m]) split_store[m] = splittable_store(*snapshots[m], config.approx);
+  }
+  out.scored = score_tiled_grid(
+      snapshots.size(), queries, ell, config,
+      [&snapshots, &skip, ell, kind, &config](std::size_t m, std::span<const PointD> block,
+                                              std::vector<std::vector<Key>>& keys,
+                                              KernelScratch& scratch) {
+        if (skip[m]) {
+          keys.assign(block.size(), {});
+        } else if (config.approx) {
+          snapshot_approx_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell),
+                                        kind, keys, scratch);
+        } else {
+          snapshot_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell), kind,
+                                 keys, scratch);
+        }
+      },
+      [&split_store](std::size_t m) -> std::size_t {
+        return split_store[m] == nullptr ? 0 : split_store[m]->size();
+      },
+      [&split_store, ell, kind](std::size_t m, std::size_t lo, std::size_t hi,
+                                std::span<const PointD> block,
+                                std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
+        score_rows(*split_store[m], lo, hi, block, ell, kind, keys, scratch);
+      });
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
@@ -452,170 +473,29 @@ std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
       [&indexes, ell, kind, &config](std::size_t m, std::span<const PointD> block,
                                      std::vector<std::vector<Key>>& keys,
                                      KernelScratch& scratch) {
-        score_tile(indexes[m], block, ell, kind, config.approx, keys, scratch);
+        shard_top_ell_batch(indexes[m], nullptr, block, static_cast<std::size_t>(ell), kind,
+                            config.approx, keys, scratch);
       },
-      // Only brute-scanned shards split: a kd-tree shard's traversal is
-      // hierarchical, not a row scan, and an approx shard's beam search
-      // walks the whole graph from fixed seeds.
       [&indexes, &config](std::size_t m) -> std::size_t {
-        if (indexes[m].has_tree()) return 0;
-        if (config.approx && indexes[m].ann != nullptr) return 0;
-        return indexes[m].store().size();
+        return row_splittable(indexes[m], config.approx) ? indexes[m].store().size() : 0;
       },
       [&indexes, ell, kind](std::size_t m, std::size_t lo, std::size_t hi,
                             std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
                             KernelScratch& scratch) {
-        // Row-range subtile: the same bounded-heap kernels the kd-hybrid
-        // and the serve live-run path use, over [lo, hi) of the SoA store.
-        const FlatStore& store = indexes[m].store();
-        keys.resize(block.size());
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          RangeTopEll scorer(store, block[i], static_cast<std::size_t>(ell), kind, scratch);
-          scorer.score_range(lo, hi);
-          scorer.finish(keys[i]);
-        }
+        score_rows(indexes[m].store(), lo, hi, block, ell, kind, keys, scratch);
       });
 }
 
 std::vector<std::vector<std::vector<Key>>> score_serve_snapshots_batch(
     std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
     MetricKind kind, const BatchScoringConfig& config) {
-  for (const SnapshotPtr& snapshot : snapshots) {
-    DKNN_REQUIRE(snapshot != nullptr, "score_serve_snapshots_batch: null snapshot");
-  }
-  return score_tiled_grid(
-      snapshots.size(), queries, ell, config,
-      [&snapshots, ell, kind, &config](std::size_t m, std::span<const PointD> block,
-                                       std::vector<std::vector<Key>>& keys,
-                                       KernelScratch& scratch) {
-        if (config.approx) {
-          snapshot_approx_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell),
-                                        kind, keys, scratch);
-        } else {
-          snapshot_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell), kind,
-                                 keys, scratch);
-        }
-      },
-      // Snapshots are opaque to the splitter: segmentation already bounds
-      // scan length per segment, and compaction governs segment size.
-      [](std::size_t) -> std::size_t { return 0; },
-      [](std::size_t, std::size_t, std::size_t, std::span<const PointD>,
-         std::vector<std::vector<Key>>&, KernelScratch&) {
-        panic("score_serve_snapshots_batch: snapshots never split");
-      });
-}
-
-namespace {
-
-/// Shared health gate of the guarded overloads: one deadline-guarded
-/// check_call per machine, skip mask + coverage out.  Retired machines are
-/// skipped silently (their data lives on survivors); Dead / timed-out
-/// machines are skipped *and reported missing*.
-std::vector<char> guard_machines(MachineHealth& health, std::size_t machines,
-                                 Coverage& coverage) {
-  DKNN_REQUIRE(health.machines() == machines,
-               "guarded scoring: health registry and machine count must align");
-  std::vector<char> skip(machines, 0);
-  for (std::size_t m = 0; m < machines; ++m) {
-    const CallReport report = health.check_call(m);
-    switch (report.status) {
-      case CallStatus::Ok:
-        ++coverage.total;
-        break;
-      case CallStatus::Dead:
-      case CallStatus::TimedOut:
-        skip[m] = 1;
-        ++coverage.total;
-        coverage.missing.push_back(static_cast<std::uint32_t>(m));
-        break;
-      case CallStatus::Retired:
-        skip[m] = 1;
-        break;
-    }
-  }
-  return skip;
-}
-
-}  // namespace
-
-GuardedScoreBatch score_vector_shards_batch_guarded(
-    const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, MachineHealth& health, const BatchScoringConfig& config) {
-  GuardedScoreBatch out;
-  const std::vector<char> skip = guard_machines(health, indexes.size(), out.coverage);
-  out.scored = score_tiled_grid(
-      indexes.size(), queries, ell, config,
-      [&indexes, &skip, ell, kind, &config](std::size_t m, std::span<const PointD> block,
-                                            std::vector<std::vector<Key>>& keys,
-                                            KernelScratch& scratch) {
-        if (skip[m]) {
-          keys.assign(block.size(), {});
-          return;
-        }
-        score_tile(indexes[m], block, ell, kind, config.approx, keys, scratch);
-      },
-      [&indexes, &skip, &config](std::size_t m) -> std::size_t {
-        if (skip[m]) return 0;  // skipped machines never split
-        if (indexes[m].has_tree()) return 0;
-        if (config.approx && indexes[m].ann != nullptr) return 0;
-        return indexes[m].store().size();
-      },
-      [&indexes, ell, kind](std::size_t m, std::size_t lo, std::size_t hi,
-                            std::span<const PointD> block, std::vector<std::vector<Key>>& keys,
-                            KernelScratch& scratch) {
-        const FlatStore& store = indexes[m].store();
-        keys.resize(block.size());
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          RangeTopEll scorer(store, block[i], static_cast<std::size_t>(ell), kind, scratch);
-          scorer.score_range(lo, hi);
-          scorer.finish(keys[i]);
-        }
-      });
-  return out;
+  return score_snapshots(snapshots, queries, ell, kind, nullptr, config).scored;
 }
 
 GuardedScoreBatch score_serve_snapshots_batch_guarded(
     std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
     MetricKind kind, MachineHealth& health, const BatchScoringConfig& config) {
-  GuardedScoreBatch out;
-  std::vector<char> skip = guard_machines(health, snapshots.size(), out.coverage);
-  // A null slot marks a machine that was unreachable in the *caller's*
-  // view (e.g. dead when a service snapshot was published) even if its
-  // probe just answered Ok (revived since).  The caller has no data to
-  // score, so the machine is skipped and reported missing — no second
-  // probe, and silently when Retired (its data lives on survivors).
-  bool missing_merged = false;
-  for (std::size_t m = 0; m < snapshots.size(); ++m) {
-    if (snapshots[m] == nullptr && !skip[m]) {
-      skip[m] = 1;
-      out.coverage.missing.push_back(static_cast<std::uint32_t>(m));
-      missing_merged = true;
-    }
-  }
-  if (missing_merged) std::sort(out.coverage.missing.begin(), out.coverage.missing.end());
-  out.scored = score_tiled_grid(
-      snapshots.size(), queries, ell, config,
-      [&snapshots, &skip, ell, kind, &config](std::size_t m, std::span<const PointD> block,
-                                              std::vector<std::vector<Key>>& keys,
-                                              KernelScratch& scratch) {
-        if (skip[m]) {
-          keys.assign(block.size(), {});
-          return;
-        }
-        if (config.approx) {
-          snapshot_approx_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell),
-                                        kind, keys, scratch);
-        } else {
-          snapshot_top_ell_batch(*snapshots[m], block, static_cast<std::size_t>(ell), kind,
-                                 keys, scratch);
-        }
-      },
-      [](std::size_t) -> std::size_t { return 0; },
-      [](std::size_t, std::size_t, std::size_t, std::span<const PointD>,
-         std::vector<std::vector<Key>>&, KernelScratch&) {
-        panic("score_serve_snapshots_batch_guarded: snapshots never split");
-      });
-  return out;
+  return score_snapshots(snapshots, queries, ell, kind, &health, config);
 }
 
 BatchRunResult run_knn_batch(const std::vector<std::vector<std::vector<Key>>>& scored_batch,

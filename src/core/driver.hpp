@@ -43,7 +43,6 @@
 
 #include "core/dist_knn.hpp"
 #include "core/dist_select.hpp"
-#include "data/flat_store.hpp"
 #include "data/generators.hpp"
 #include "data/ids.hpp"
 #include "data/kernels.hpp"
@@ -54,7 +53,7 @@
 #include "fault/health.hpp"
 #include "seq/kdtree.hpp"
 #include "seq/scoring_policy.hpp"  // IWYU pragma: export — ScoringPolicy lived here
-#include "serve/segment_store.hpp"
+#include "serve/segment_store.hpp"  // IWYU pragma: export — ShardIndex lived here
 #include "sim/engine.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -153,47 +152,18 @@ template <MetricFor M>
   return score_vector_shards(shards, query, SquaredEuclidean{});
 }
 
-/// Converts each AoS shard to its contiguous SoA mirror (one-off O(n·d)
-/// per shard; after that, batched scoring never touches PointD).
-[[nodiscard]] std::vector<FlatStore> make_flat_stores(const std::vector<VectorShard>& shards);
-
-/// Batched local computation: scores every query against every SoA shard
-/// with the fused kernels.  Returns [query][shard] → that shard's local
-/// top-ℓ keys ascending.  Feeding a machine its local top-ℓ instead of all
-/// n keys leaves every algorithm's answer unchanged (Algorithm 2's first
-/// step is exactly this local cap) — property-tested for all metrics.
-[[nodiscard]] std::vector<std::vector<std::vector<Key>>> score_vector_shards_batch(
-    const std::vector<FlatStore>& stores, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind = MetricKind::SquaredEuclidean);
-
-/// One shard's resident scoring structures: always an SoA store, plus the
-/// kd-tree when the policy selected the hybrid path for this shard, plus a
-/// lazily-built k-NN graph slot when the policy is Approx and the shard is
-/// large enough (see src/ann/README.md).
-struct ShardIndex {
-  FlatStore flat;                      ///< engaged iff tree == nullptr
-  std::unique_ptr<KdRangeIndex> tree;  ///< engaged iff the tree path won
-  std::shared_ptr<ann::GraphSlot> ann; ///< engaged iff ScoringPolicy::Approx applies
-
-  [[nodiscard]] bool has_tree() const { return tree != nullptr; }
-  /// The store brute scans: the tree's reordered mirror when present.
-  [[nodiscard]] const FlatStore& store() const { return tree ? tree->store() : flat; }
-};
-
-/// Builds each shard's scoring structures once per resident dataset
-/// (replaces make_flat_stores when a policy other than Brute may run).
-/// `ann` supplies the graph knobs for ScoringPolicy::Approx (ignored
-/// otherwise).
+/// Builds each shard's scoring structures (ShardIndex, see
+/// serve/segment_store.hpp) once per resident dataset.  `ann` supplies the
+/// graph knobs for ScoringPolicy::Approx (ignored otherwise).
 [[nodiscard]] std::vector<ShardIndex> make_shard_indexes(
     const std::vector<VectorShard>& shards, ScoringPolicy policy,
     std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize, const ann::AnnConfig& ann = {});
 
 /// Cumulative kd-hybrid traversal counters summed over every tree-indexed
 /// shard (brute shards contribute nothing).  Counters accumulate across
-/// score_vector_shards_batch calls; pair with reset_tree_stats for
-/// per-stanza deltas in the benches.
+/// score_vector_shards_batch calls; difference two reads for per-stanza
+/// deltas.
 [[nodiscard]] TreeStats tree_stats(const std::vector<ShardIndex>& indexes);
-void reset_tree_stats(const std::vector<ShardIndex>& indexes);
 
 /// Execution knobs for the policy-aware batched scoring step.
 struct BatchScoringConfig {
@@ -209,8 +179,9 @@ struct BatchScoringConfig {
   /// `pool` is set.
   std::uint64_t seed = ThreadPool::kDefaultSeed;
   /// Externally-owned pool to score on, amortizing thread spawn across
-  /// batches in a serving loop.  The call barriers on it via wait_idle(),
-  /// so don't share a pool that other threads submit to concurrently.
+  /// batches in a serving loop.  The call waits only for its own tiles (a
+  /// ThreadPool::TaskGroup), so other threads — concurrent scoring calls,
+  /// background compactions — may share the pool.
   ThreadPool* pool = nullptr;
   /// Point-range subtile threshold for the parallel grid.  A brute-scanned
   /// shard with more rows than this is scored as ⌈rows/threshold⌉
@@ -219,8 +190,10 @@ struct BatchScoringConfig {
   /// scans on a single worker.  0 = auto (64 Ki rows).  Merging changes no
   /// output byte (keys are globally distinct and each range's top-ℓ
   /// contains every global winner inside it — fuzzed against the unsplit
-  /// grid in tests/test_parity.cpp); only the serial path and tree-indexed
-  /// shards stay whole (column streaming / hierarchical traversal).
+  /// grid in tests/test_parity.cpp).  A serve snapshot splits when its
+  /// live points all sit in one clean, tree-less segment; the serial path,
+  /// tree-indexed shards and approx-routed graph shards stay whole (column
+  /// streaming / hierarchical traversal / one beam search).
   std::size_t shard_split_rows = 0;
   /// Approximate routing (the ANN tier).  UNLIKE every other knob in this
   /// struct, this one changes answer bytes: shards / serve segments that
@@ -233,7 +206,11 @@ struct BatchScoringConfig {
   bool approx = false;
 };
 
-/// Policy-aware, optionally parallel batched scoring.  Tiles the
+/// Batched local computation: scores every query against every shard and
+/// returns [query][shard] → that shard's local top-ℓ keys ascending.
+/// Feeding a machine its local top-ℓ instead of all n keys leaves every
+/// algorithm's answer unchanged (Algorithm 2's first step is exactly this
+/// local cap) — property-tested for all metrics.  Tiles the
 /// shard × query-block grid over a work-stealing pool; every task writes
 /// its own pre-sized [query][shard] slots, so the output is byte-identical
 /// to the serial brute path regardless of policy, thread count, or
@@ -265,25 +242,21 @@ struct GuardedScoreBatch {
   Coverage coverage;
 };
 
-/// Deadline-guarded variant of the ShardIndex overload: before scoring
+/// Deadline-guarded variant of the snapshot overload: before scoring
 /// machine m, `health.check_call(m)` runs the bounded retry-with-backoff
 /// probe; a machine that is Dead or exhausts its deadline is skipped (its
 /// slots stay empty) and lands in `coverage.missing`, so the step degrades
 /// instead of hanging.  With every machine healthy the scored grid is
 /// byte-identical to the unguarded overload (asserted in
-/// tests/test_fault.cpp).
-[[nodiscard]] GuardedScoreBatch score_vector_shards_batch_guarded(
-    const std::vector<ShardIndex>& indexes, std::span<const PointD> queries, std::uint64_t ell,
-    MetricKind kind, MachineHealth& health, const BatchScoringConfig& config = {});
-
-/// Deadline-guarded variant of the snapshot overload.  A null
-/// `snapshots[m]` marks machine m unreachable in the *caller's* view (it
-/// could not snapshot the store — e.g. the machine was dead when the
-/// caller's service snapshot was published): the machine is skipped and
-/// reported missing without a probe even if the health gate would now
-/// answer Ok for it (revived since), and silently when Retired (its data
-/// lives on survivors).  Non-null slots go through the usual
-/// `check_call(m)` gate.
+/// tests/test_fault.cpp) — both run one body.  A null `snapshots[m]`
+/// marks machine m unreachable in the *caller's* view (it could not
+/// snapshot the store — e.g. the machine was dead when the caller's
+/// service snapshot was published): the machine is skipped and reported
+/// missing whatever the health gate answers now (revived or recovered
+/// since).  A Retired machine is skipped silently when its slot holds no
+/// points — pass an empty snapshot for a machine whose data already lives
+/// on survivors in the caller's view — and reported missing when its slot
+/// still holds points (it was recovered after that view was taken).
 [[nodiscard]] GuardedScoreBatch score_serve_snapshots_batch_guarded(
     std::span<const SnapshotPtr> snapshots, std::span<const PointD> queries, std::uint64_t ell,
     MetricKind kind, MachineHealth& health, const BatchScoringConfig& config = {});

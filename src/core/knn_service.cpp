@@ -17,9 +17,8 @@ namespace dknn {
 
 // --- the published read-path view --------------------------------------------
 
-/// Everything a query needs, frozen at one publish: the per-machine scoring
-/// structures (store snapshots in live mode, the immutable index set in
-/// static mode), the payload tables (COW — mutators install fresh maps, so a
+/// Everything a query needs, frozen at one publish: the per-machine store
+/// snapshots, the payload tables (COW — mutators install fresh maps, so a
 /// published table never changes under a reader), and the liveness state
 /// (generation + coverage + which stores were reachable) the view was taken
 /// at.  Readers hold one of these by shared_ptr for the whole call; nothing
@@ -33,13 +32,11 @@ struct KnnService::Snapshot {
   std::uint64_t generation = 0;
   /// Detected coverage at publish — what cache hits are stamped with.
   Coverage coverage;
-  std::size_t machine_count = 0;
-  /// Live mode: one coherent snapshot per machine; a slot is null iff its
-  /// machine was not Alive at publish (its store is unreachable — the
-  /// guarded scoring step reports it missing without probing).
+  /// One coherent snapshot per machine.  A slot is null iff its machine
+  /// was Dead at publish (its store is unreachable — the guarded scoring
+  /// step reports it missing), and empty iff it was Retired (its points
+  /// live on survivors — skipped silently).
   std::vector<SnapshotPtr> stores;
-  /// Static mode: the frozen per-machine indexes (shared, never rebuilt).
-  std::shared_ptr<const std::vector<ShardIndex>> indexes;
   /// COW payload tables for classify/regress, aligned with the stores.
   std::vector<std::shared_ptr<const std::unordered_map<PointId, std::uint32_t>>> labels;
   std::vector<std::shared_ptr<const std::unordered_map<PointId, double>>> targets;
@@ -76,10 +73,8 @@ struct KnnService::State {
   ServiceConfig config;
   std::size_t dim = 0;  ///< 0 = unknown (empty static dataset)
 
-  // Static mode: each machine's frozen scoring structures (shared with
-  // every published Snapshot; immutable after build).
-  std::shared_ptr<const std::vector<ShardIndex>> indexes;
-  // Live mode: each machine's mutable store.
+  // Each machine's store.  A static service's stores hold the segments
+  // sealed at build and never change; live mode mutates them.
   std::vector<std::unique_ptr<SegmentStore>> stores;
   std::uint64_t next_machine = 0;  ///< round-robin insert routing
 
@@ -143,15 +138,12 @@ struct KnnService::State {
   State(std::size_t cache_capacity, std::uint64_t trace_sample_every, std::size_t trace_capacity)
       : cache(cache_capacity), tracer(trace_sample_every, trace_capacity) {}
 
-  [[nodiscard]] std::size_t machine_count() const {
-    if (config.live) return stores.size();
-    return indexes != nullptr ? indexes->size() : 0;
-  }
-
   /// The strictly monotone service epoch (sum of per-store epochs; each
   /// store's epoch never decreases and every mutation bumps one, so equal
-  /// sums imply an identical store state).
+  /// sums imply an identical store state).  0 for a static service — its
+  /// dataset never moves.
   [[nodiscard]] std::uint64_t epoch() const {
+    if (!config.live) return 0;
     std::uint64_t sum = 0;
     for (const auto& store : stores) sum += store->epoch();
     return sum;
@@ -210,8 +202,6 @@ ServiceMetrics& service_metrics() {
 
 void KnnService::publish_locked(State& state) {
   auto snap = std::make_shared<Snapshot>();
-  snap->machine_count = state.machine_count();
-  snap->indexes = state.indexes;
   snap->has_labels = state.has_labels;
   snap->has_targets = state.has_targets;
   snap->labels = state.labels;
@@ -227,13 +217,16 @@ void KnnService::publish_locked(State& state) {
     snap->coverage = std::move(view.coverage);
     alive = std::move(view.alive);
   } else {
-    snap->coverage.total = static_cast<std::uint32_t>(snap->machine_count);
+    snap->coverage.total = static_cast<std::uint32_t>(state.stores.size());
   }
-  if (state.config.live) {
-    snap->stores.reserve(state.stores.size());
-    for (std::size_t m = 0; m < state.stores.size(); ++m) {
-      const bool reachable = state.health == nullptr || (m < alive.size() && alive[m] != 0);
-      snap->stores.push_back(reachable ? state.stores[m]->snapshot() : nullptr);
+  static const SnapshotPtr retired = std::make_shared<const ServeSnapshot>();
+  const std::vector<std::uint32_t>& dead = snap->coverage.missing;
+  snap->stores.reserve(state.stores.size());
+  for (std::size_t m = 0; m < state.stores.size(); ++m) {
+    if (state.health == nullptr || alive[m] != 0) {
+      snap->stores.push_back(state.stores[m]->snapshot());
+    } else {
+      snap->stores.push_back(std::binary_search(dead.begin(), dead.end(), m) ? nullptr : retired);
     }
   }
   {
@@ -269,23 +262,17 @@ KnnService::State& KnnService::ensure_live() const {
 bool KnnService::live() const { return ensure_built().config.live; }
 const ServiceConfig& KnnService::config() const { return ensure_built().config; }
 std::size_t KnnService::dim() const { return ensure_built().dim; }
-std::size_t KnnService::machines() const { return ensure_built().machine_count(); }
+std::size_t KnnService::machines() const { return ensure_built().stores.size(); }
 
 std::size_t KnnService::total_points() const {
   State& state = ensure_built();
   const std::lock_guard<std::mutex> lock(state.mutex);
+  // The mirror is authoritative in live fault-tolerant mode: a dead
+  // machine's store still holds its points (and pending erases), so summing
+  // stores would double-count after recovery re-homes them.
+  if (state.mirror != nullptr) return state.mirror->total_points();
   std::size_t total = 0;
-  if (state.config.live) {
-    // The mirror is authoritative in fault-tolerant mode: a dead machine's
-    // store still holds its points (and pending erases), so summing stores
-    // would double-count after recovery re-homes them.
-    if (state.mirror != nullptr) return state.mirror->total_points();
-    for (const auto& store : state.stores) total += store->live_points();
-  } else {
-    if (state.indexes != nullptr) {
-      for (const ShardIndex& index : *state.indexes) total += index.store().size();
-    }
-  }
+  for (const auto& store : state.stores) total += store->live_points();
   return total;
 }
 
@@ -293,22 +280,36 @@ std::size_t KnnService::total_points() const {
 
 namespace {
 
-void validate_query_dims(std::size_t dim, std::span<const PointD> queries) {
-  // dim == 0 means the dataset is empty and dimension-free; every scoring
-  // path then returns empty keys for any query (mirrors the kernels).
-  if (dim == 0) return;
-  for (const PointD& query : queries) require_query_dim(dim, query.dim());
+void validate_queries(std::size_t dim, std::span<const PointD> queries) {
+  for (const PointD& query : queries) {
+    // dim == 0 means the dataset is empty and dimension-free; every scoring
+    // path then returns empty keys for any query (mirrors the kernels).
+    if (dim != 0) require_query_dim(dim, query.dim());
+    require_finite(query);
+  }
 }
 
-/// The mode-appropriate routing policy: live stores score by
-/// serve.policy (build() syncs it to policy unless live(ServeConfig)
-/// overrode it), static indexes by policy.  Approx defaults on exactly
-/// when the built structures carry graphs.
-[[nodiscard]] ScoringPolicy effective_policy(const ServiceConfig& config) {
-  return config.live ? config.serve.policy : config.policy;
+/// Whether answers default to the approximate tier: exactly when the
+/// stores' policy (serve.policy, which build() derives from policy unless
+/// live(ServeConfig) overrode it) attaches graphs.
+[[nodiscard]] bool approx_by_default(const ServiceConfig& config) {
+  return config.serve.policy == ScoringPolicy::Approx;
 }
 
 }  // namespace
+
+GuardedScoreBatch KnnService::score_snapshot(const State& state, const Snapshot& snap,
+                                             std::span<const PointD> queries, std::uint64_t ell,
+                                             MetricKind metric, bool approx) {
+  BatchScoringConfig scoring = state.scoring;
+  scoring.approx = approx;
+  if (state.health == nullptr) {
+    return {score_serve_snapshots_batch(snap.stores, queries, ell, metric, scoring),
+            snap.coverage};
+  }
+  return score_serve_snapshots_batch_guarded(snap.stores, queries, ell, metric, *state.health,
+                                             scoring);
+}
 
 BatchQueryResult KnnService::run_batch_core(State& state,
                                             const std::shared_ptr<const Snapshot>& snap,
@@ -378,50 +379,24 @@ BatchQueryResult KnnService::run_batch_core(State& state,
   }
 
   if (!miss_queries.empty()) {
-    // Local computation: the fused batch kernels over every machine's
-    // snapshotted structures — exactly the free-function paths.  Fault-
-    // tolerant mode routes through the deadline-guarded variants: dead /
-    // unresponsive machines are skipped (their slots stay empty, a legal
-    // empty shard for every protocol) and reported in the coverage; a
-    // machine whose snapshot slot is null (dead at publish) is reported
-    // missing without a probe.
-    std::vector<std::vector<std::vector<Key>>> scored;
-    Coverage miss_coverage = hit_coverage;
-    {
+    // Local computation over every machine's snapshotted store.  Approx
+    // routing rides the scoring config: graph-carrying segments switch to
+    // the ann beam search, everything else (delta mirrors, small segments,
+    // exact-policy services) scores exactly.  Traced approximate batches
+    // get an extra ann_search span so the tier shows up in the timeline.
+    GuardedScoreBatch scored = [&] {
       obs::SinkScope span(sink, "shard_scoring");
-      span.set_detail(snap->machine_count);
-      // Approx routing rides the scoring config: graph-carrying shards
-      // switch to the ann beam search, everything else (delta mirrors,
-      // small shards, exact-policy services) scores exactly.  Traced
-      // approximate batches get an extra ann_search span so the tier
-      // shows up in the timeline.
-      BatchScoringConfig scoring = state.scoring;
-      scoring.approx = approx;
+      span.set_detail(snap->stores.size());
       const obs::TraceSink no_sink;
       obs::SinkScope ann_span(approx ? sink : no_sink, "ann_search");
       if (approx) ann_span.set_detail(miss_queries.size());
-      if (fault_tolerant) {
-        GuardedScoreBatch guarded =
-            state.config.live
-                ? score_serve_snapshots_batch_guarded(snap->stores, miss_queries, ell, metric,
-                                                      *state.health, scoring)
-                : score_vector_shards_batch_guarded(*snap->indexes, miss_queries, ell, metric,
-                                                    *state.health, scoring);
-        scored = std::move(guarded.scored);
-        miss_coverage = std::move(guarded.coverage);
-      } else {
-        scored = state.config.live
-                     ? score_serve_snapshots_batch(snap->stores, miss_queries, ell, metric,
-                                                   scoring)
-                     : score_vector_shards_batch(*snap->indexes, miss_queries, ell, metric,
-                                                 scoring);
-      }
-    }
+      return score_snapshot(state, *snap, miss_queries, ell, metric, approx);
+    }();
     // Global selection: every miss through one engine run.
     BatchRunResult batch = [&] {
       obs::SinkScope span(sink, "selection");
       span.set_detail(miss_queries.size());
-      return run_knn_batch(scored, ell, algo, state.config.engine, state.config.knn);
+      return run_knn_batch(scored.scored, ell, algo, state.config.engine, state.config.knn);
     }();
 
     // Publish to the cache only if the generation held through scoring —
@@ -451,7 +426,7 @@ BatchQueryResult KnnService::run_batch_core(State& state,
       dst.prune_ok = src.prune_ok;
       dst.epoch = snap->epoch;
       dst.cache_hit = false;
-      dst.coverage = miss_coverage;
+      dst.coverage = scored.coverage;
       if (publish) state.cache.insert(std::move(miss_bits[i]), cache_epoch, dst.keys);
     }
     out.report = std::move(batch.report);
@@ -477,9 +452,8 @@ BatchQueryResult KnnService::query_batch(std::span<const PointD> queries,
   require_positive_ell(ell);
   const KnnAlgo algo = options.algo.value_or(state.config.algo);
   const MetricKind metric = options.metric.value_or(state.config.metric);
-  const bool approx =
-      options.approx.value_or(effective_policy(state.config) == ScoringPolicy::Approx);
-  validate_query_dims(state.dim, queries);
+  const bool approx = options.approx.value_or(approx_by_default(state.config));
+  validate_queries(state.dim, queries);
   // The whole batch traces as one unit when forced or sampled (it is one
   // snapshot + one scored run; per-member spans would all be identical).
   auto trace = state.tracer.begin(options.trace);
@@ -578,15 +552,14 @@ QueryResult KnnService::query(const PointD& point, const QueryOptions& options) 
   // Validate before taking a seat: precondition errors stay the caller's
   // own (a throw from inside the scored batch would have to fan out to
   // every batch-mate).
-  validate_query_dims(state.dim, std::span<const PointD>(&point, 1));
+  validate_queries(state.dim, std::span<const PointD>(&point, 1));
 
   SeatSlot slot;
   slot.query = &point;
   slot.algo = options.algo.value_or(state.config.algo);
   slot.ell = ell;
   slot.metric = options.metric.value_or(state.config.metric);
-  slot.approx =
-      options.approx.value_or(effective_policy(state.config) == ScoringPolicy::Approx);
+  slot.approx = options.approx.value_or(approx_by_default(state.config));
   // Observability: one branch each when disabled/unsampled.  The trace
   // builder rides the slot so the seat leader can fan batch-stage spans
   // into it; neither changes any answer byte.
@@ -657,30 +630,15 @@ std::vector<ClassifyResult> KnnService::classify_batch(std::span<const PointD> q
         "insert_labeled)");
   }
   if (queries.empty()) return {};  // consistent with query_batch
-  validate_query_dims(state.dim, queries);
+  validate_queries(state.dim, queries);
 
   // One snapshot end to end: the winners come out of the snapshotted
   // stores and the labels are the tables published with them, so a
-  // concurrent erase can never strand a winner without its label.
-  const auto scored = [&] {
-    if (state.health != nullptr) {
-      // Degraded classify: dead machines' shards drop out of the vote.
-      return state.config.live
-                 ? score_serve_snapshots_batch_guarded(snap->stores, queries, state.config.ell,
-                                                       state.config.metric, *state.health,
-                                                       state.scoring)
-                       .scored
-                 : score_vector_shards_batch_guarded(*snap->indexes, queries, state.config.ell,
-                                                     state.config.metric, *state.health,
-                                                     state.scoring)
-                       .scored;
-    }
-    return state.config.live
-               ? score_serve_snapshots_batch(snap->stores, queries, state.config.ell,
-                                             state.config.metric, state.scoring)
-               : score_vector_shards_batch(*snap->indexes, queries, state.config.ell,
-                                           state.config.metric, state.scoring);
-  }();
+  // concurrent erase can never strand a winner without its label.  Dead
+  // machines' shards drop out of the vote.
+  const auto scored = score_snapshot(state, *snap, queries, state.config.ell,
+                                     state.config.metric, state.scoring.approx)
+                          .scored;
   auto results = classify_scored_batch(scored, snap->labels, state.config.ell,
                                        state.config.engine, state.config.knn, rule);
   state.queries.fetch_add(queries.size(), std::memory_order_relaxed);
@@ -701,27 +659,12 @@ std::vector<RegressResult> KnnService::regress_batch(std::span<const PointD> que
         "insert_target)");
   }
   if (queries.empty()) return {};  // consistent with query_batch
-  validate_query_dims(state.dim, queries);
+  validate_queries(state.dim, queries);
 
-  const auto scored = [&] {
-    if (state.health != nullptr) {
-      // Degraded regress: dead machines' shards drop out of the mean.
-      return state.config.live
-                 ? score_serve_snapshots_batch_guarded(snap->stores, queries, state.config.ell,
-                                                       state.config.metric, *state.health,
-                                                       state.scoring)
-                       .scored
-                 : score_vector_shards_batch_guarded(*snap->indexes, queries, state.config.ell,
-                                                     state.config.metric, *state.health,
-                                                     state.scoring)
-                       .scored;
-    }
-    return state.config.live
-               ? score_serve_snapshots_batch(snap->stores, queries, state.config.ell,
-                                             state.config.metric, state.scoring)
-               : score_vector_shards_batch(*snap->indexes, queries, state.config.ell,
-                                           state.config.metric, state.scoring);
-  }();
+  // Dead machines' shards drop out of the mean.
+  const auto scored = score_snapshot(state, *snap, queries, state.config.ell,
+                                     state.config.metric, state.scoring.approx)
+                          .scored;
   auto results = regress_scored_batch(scored, snap->targets, state.config.ell,
                                       state.config.engine, state.config.knn);
   state.queries.fetch_add(queries.size(), std::memory_order_relaxed);
@@ -747,14 +690,9 @@ ServiceStats KnnService::stats() const {
   stats.cache_hits = cache.hits;
   stats.cache_misses = cache.misses;
   stats.cache_flushes = cache.flushes;
-  // Tree traversal counters are owned by the per-shard KdRangeIndexes /
-  // per-segment trees themselves (relaxed atomics), so no service lock is
-  // needed to read them either.
-  if (state.config.live) {
-    for (const auto& store : state.stores) stats.tree += store->tree_stats();
-  } else if (state.indexes != nullptr) {
-    stats.tree += tree_stats(*state.indexes);
-  }
+  // Tree traversal counters are owned by the per-segment trees themselves
+  // (relaxed atomics), so no service lock is needed to read them either.
+  for (const auto& store : state.stores) stats.tree += store->tree_stats();
   return stats;
 }
 
@@ -782,6 +720,7 @@ void KnnService::set_trace_sampling(std::uint64_t sample_every) {
 
 std::size_t KnnService::insert_point(State& state, const PointD& point, PointId id) {
   require_query_dim(state.dim, point.dim());
+  require_finite(point);
   if (state.mirror != nullptr) {
     // Fault-tolerant routing: the mirror answers membership in O(1) (a
     // dead machine's store cannot be probed), and dead machines are
@@ -1014,7 +953,7 @@ void KnnService::revive_machine(std::size_t machine) {
   const std::lock_guard<std::mutex> lock(state.mutex);
   // Deletes issued while the machine was down take effect in its store
   // before it rejoins — a revived machine never resurrects an erased point.
-  if (state.config.live && machine < state.pending_erases.size()) {
+  if (machine < state.pending_erases.size()) {
     for (const PointId id : state.pending_erases[machine]) state.stores[machine]->erase(id);
     state.pending_erases[machine].clear();
   }
@@ -1264,15 +1203,14 @@ KnnService KnnServiceBuilder::build() {
                                                    config_.trace_sample_every,
                                                    config_.trace_capacity);
   state->config = config_;
-  // One policy/leaf-size knob drives both modes — sealed segments build
-  // the same scoring structures the static ShardIndexes would — unless
-  // the caller handed over explicit store knobs (live(ServeConfig) /
-  // config()), which win verbatim.
+  // One policy/leaf-size knob drives both modes' stores unless a live
+  // caller handed over explicit store knobs (live(ServeConfig) / config()),
+  // which win verbatim; a static dataset has no store knobs of its own.
   // Graph geometry always matches the service's canonical metric — a
   // per-call metric override still searches the built graph (recall
   // degrades gracefully on mismatch, see src/ann/README.md).
   state->config.ann.metric = config_.metric;
-  if (!serve_explicit_) {
+  if (!serve_explicit_ || !config_.live) {
     state->config.serve.policy = config_.policy;
     state->config.serve.leaf_size = config_.leaf_size;
     state->config.serve.ann = state->config.ann;
@@ -1367,33 +1305,25 @@ KnnService KnnServiceBuilder::build() {
   }
   if (dim == 0) dim = dim_;
   state->dim = dim;
+  if (config_.live && dim == 0) {
+    throw ServiceStateError(
+        "dknn: a live KnnService needs a known dimension (provide points or "
+        "KnnServiceBuilder::dim)");
+  }
 
-  // Per-machine scoring structures.
-  if (config_.live) {
-    if (dim == 0) {
-      throw ServiceStateError(
-          "dknn: a live KnnService needs a known dimension (provide points or "
-          "KnnServiceBuilder::dim)");
-    }
-    state->indexes = std::make_shared<const std::vector<ShardIndex>>();
-    state->stores.reserve(k);
-    for (VectorShard& shard : shards) {
-      auto store = std::make_unique<SegmentStore>(dim, state->config.serve);
-      if (!shard.points.empty()) {
-        store->insert_batch(shard.points, shard.ids);
-        store->seal();
-      }
-      state->stores.push_back(std::move(store));
-    }
-  } else {
-    state->indexes = std::make_shared<const std::vector<ShardIndex>>(
-        make_shard_indexes(shards, config_.policy, config_.leaf_size, state->config.ann));
+  // One store per machine, each shard sealed straight into one segment.
+  // An empty static dataset is dimension-free (dim 0); its stores stay
+  // empty forever, so any positive store dimension serves.
+  state->stores.reserve(k);
+  for (const VectorShard& shard : shards) {
+    state->stores.push_back(std::make_unique<SegmentStore>(
+        std::max<std::size_t>(dim, 1), shard.points, shard.ids, state->config.serve));
   }
 
   // Fault tolerance: the health registry gates scoring in both modes; the
   // replica mirror (the recovery source) exists only where mutation does —
-  // live mode.  insert_batch copied the shard spans, so reading them here
-  // is safe.
+  // live mode.  The stores copied the shard spans, so reading them here is
+  // safe.
   if (state->config.fault_tolerant) {
     state->health = std::make_unique<MachineHealth>(static_cast<std::uint32_t>(k),
                                                     state->config.fault.health);

@@ -11,11 +11,11 @@
 /// through all of them by hand.  `KnnService` is the single handle
 /// production-scale distributed KNN systems expose over these concerns
 /// (PANDA, arXiv:1607.08220; Debatty et al.'s online-index argument,
-/// arXiv:1602.06819): one object owns the shards, the per-machine scoring
-/// structures (ShardIndexes or SegmentStores), the scoring thread pool and
-/// the epoch-keyed result cache, and `query` / `query_batch` / `classify`
-/// / `regress` are the *same call* whether the dataset is frozen or
-/// churning.
+/// arXiv:1602.06819): one object owns the shards, one SegmentStore per
+/// machine (a static dataset is a store whose shard was sealed at build and
+/// never changes), the scoring thread pool and the epoch-keyed result
+/// cache, and `query` / `query_batch` / `classify` / `regress` are the
+/// *same call* whether the dataset is frozen or churning.
 ///
 ///   KnnService svc = KnnServiceBuilder()
 ///                        .machines(16).ell(8)
@@ -35,13 +35,15 @@
 /// byte-identical to composing the free functions yourself —
 /// `score_vector_shards_batch` + `run_knn_batch` in static mode,
 /// `score_serve_snapshots_batch` + `run_knn_batch` in live mode.  The free
-/// functions remain public as the decomposed stages (and the batched mlapi
-/// entries are now thin wrappers over this facade); new capabilities land
-/// here once instead of once per path.
+/// functions remain public as the decomposed stages (the batched mlapi
+/// entries compose them directly, without a service); new capabilities
+/// land here once instead of once per path.
 ///
 /// Preconditions are validated centrally (data/validate.hpp) with typed
 /// errors and stable texts instead of per-path panics:
 ///   * dimension mismatch        → DimensionMismatchError
+///   * NaN / ±∞ coordinate in the dataset, an insert or a query
+///                               → NonFiniteCoordinateError
 ///   * ℓ = 0                     → InvalidEllError (at build())
 ///   * query before build, live-only calls on a static service, classify
 ///     without labels            → ServiceStateError
@@ -51,7 +53,7 @@
 /// Thread-safety — the epoch-snapshot read discipline (same as
 /// SegmentStore's): `query` / `query_batch` / `classify` / `regress` grab
 /// one immutable, atomically-published ServiceSnapshot (the stores'
-/// snapshots + indexes + payload tables + health generation) and never
+/// snapshots + payload tables + health generation) and never
 /// touch the service mutex; only mutations (insert / erase / compact /
 /// kill / revive / recover) serialize on it, republishing the snapshot
 /// before returning.  Readers therefore never block mutators and vice
@@ -120,10 +122,10 @@ struct ServiceConfig {
   /// Distributed selection algorithm for query/classify/regress (per-call
   /// override available on query/query_batch).
   KnnAlgo algo = KnnAlgo::DistKnn;
-  /// Local scoring structure per machine (static mode) or per sealed
-  /// segment (live mode, via `serve.policy` which build() syncs to this).
+  /// Local scoring structure per sealed segment (via `serve.policy`, which
+  /// build() syncs to this in static mode and in plain live()).
   /// ScoringPolicy::Approx attaches a lazily-built k-NN graph (src/ann/)
-  /// to every large-enough shard/segment and answers queries by beam
+  /// to every large-enough segment and answers queries by beam
   /// search + exact rerank — recall semantics, NOT byte parity with the
   /// exact paths (see src/ann/README.md).
   ScoringPolicy policy = ScoringPolicy::Auto;
@@ -131,7 +133,8 @@ struct ServiceConfig {
   /// Graph knobs of the Approx policy (degree / ef / build seed...).
   /// build() syncs `ann.metric` to `metric` so graph geometry matches the
   /// service's canonical distance, and copies the result into
-  /// `serve.ann` unless live(ServeConfig) supplied explicit knobs.
+  /// `serve.ann` unless live(ServeConfig) / config() supplied explicit
+  /// knobs to a live service.
   ann::AnnConfig ann{};
   /// How a flat dataset() shards over the machines.
   PartitionScheme partition = PartitionScheme::RoundRobin;
@@ -142,8 +145,9 @@ struct ServiceConfig {
   BatchScoringConfig scoring{};
   EngineConfig engine{};
   KnnConfig knn{};
-  /// Live-serving mode: machines are SegmentStores (insert/erase/
-  /// compact_now/snapshot_epoch available) instead of frozen ShardIndexes.
+  /// Live-serving mode: the machines' SegmentStores take insert/erase/
+  /// compact_now and the epoch advances.  A static service's stores are
+  /// sealed once at build; its mutators raise ServiceStateError.
   bool live = false;
   ServeConfig serve{};
   /// compact_now()'s victim-selection policy.
@@ -265,10 +269,9 @@ struct ServiceStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_flushes = 0;
-  /// Kd-hybrid traversal counters summed over every tree-carrying shard
-  /// (static mode) or tree segment (live mode) — the measured pruning
-  /// behavior behind the Auto routing policy.  All-zero when no
-  /// shard/segment carries a tree.  Live mode: a monotone lifetime total —
+  /// Kd-hybrid traversal counters summed over every tree-carrying segment
+  /// — the measured pruning behavior behind the Auto routing policy.
+  /// All-zero when no segment carries a tree.  A monotone lifetime total —
   /// compaction banks retired segments' counters into a store-level base
   /// before unpublishing them (SegmentStore::tree_stats), so installs
   /// never shrink these numbers.  Traversals recorded against a snapshot
@@ -398,7 +401,9 @@ class KnnService {
   /// also the safe way to mint fresh ids: pick anything contains() denies.
   [[nodiscard]] std::vector<PointId> live_ids() const;
 
-  /// Maintenance telemetry (live mode; 0 / config-sized in static mode).
+  /// Maintenance telemetry: sealed segments across all machines (a static
+  /// service reports the one it sealed per non-empty shard) and the
+  /// compaction backlog (always 0 in static mode).
   [[nodiscard]] std::size_t segment_count() const;
   [[nodiscard]] std::uint64_t compaction_debt() const;
 
@@ -442,8 +447,8 @@ class KnnService {
  private:
   friend class KnnServiceBuilder;
   struct State;
-  /// The immutable read-path view (stores' snapshots + indexes + payload
-  /// tables + liveness at publish); defined in the .cpp.
+  /// The immutable read-path view (stores' snapshots + payload tables +
+  /// liveness at publish); defined in the .cpp.
   struct Snapshot;
   /// One waiting query() call's slot in the coalescing seat.
   struct SeatSlot;
@@ -463,6 +468,15 @@ class KnnService {
   /// Rebuilds and atomically publishes the read-path snapshot; called at
   /// the end of every mutation, with the service mutex held.
   static void publish_locked(State& state);
+  /// The one local-scoring step of every read path: each machine's top-ℓ
+  /// over its snapshotted store.  A fault-tolerant service gates it on the
+  /// health registry (a null registry means unguarded): dead / unresponsive
+  /// machines are skipped — their slots stay empty, a legal empty shard for
+  /// every protocol — and reported in the coverage, as is a machine that
+  /// was dead at publish (null slot) whatever its probe says now.
+  static GuardedScoreBatch score_snapshot(const State& state, const Snapshot& snap,
+                                          std::span<const PointD> queries, std::uint64_t ell,
+                                          MetricKind metric, bool approx);
   /// Shared scored-batch core of every read path: cache pass + (guarded)
   /// scoring + selection + cache publish against one snapshot, no service
   /// mutex.  `sink` fans stage spans (cache_lookup / shard_scoring /
@@ -541,9 +555,9 @@ class KnnServiceBuilder {
   KnnServiceBuilder& labels_sharded(std::vector<std::vector<std::uint32_t>> labels);
   KnnServiceBuilder& targets_sharded(std::vector<std::vector<double>> targets);
 
-  /// Validates (typed errors, see the file comment), shards, builds the
-  /// per-machine scoring structures (ShardIndexes or sealed SegmentStores)
-  /// and the service's pool + cache, and hands the assembled service over.
+  /// Validates (typed errors, see the file comment), shards, seals each
+  /// shard into its machine's SegmentStore, builds the service's pool +
+  /// cache, and hands the assembled service over.
   [[nodiscard]] KnnService build();
 
  private:
@@ -560,8 +574,8 @@ class KnnServiceBuilder {
   bool have_labels_ = false;
   bool have_targets_ = false;
   /// True once live(ServeConfig) or config() supplied explicit store
-  /// knobs — build() then leaves serve.policy/leaf_size alone instead of
-  /// deriving them from policy()/leaf_size().
+  /// knobs — build() then leaves a live service's serve.policy/leaf_size
+  /// alone instead of deriving them from policy()/leaf_size().
   bool serve_explicit_ = false;
 };
 

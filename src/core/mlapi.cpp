@@ -329,14 +329,14 @@ std::vector<RegressResult> regress_scored_batch(
   return results;
 }
 
-// The batched dataset-level entries are thin wrappers over the facade's
-// decomposed stages: exactly the make_shard_indexes →
-// score_vector_shards_batch → classify/regress_scored_batch pipeline
-// KnnService::classify_batch/regress_batch runs (byte equality against
-// the facade is asserted in tests/test_service.cpp), composed here
-// directly so a one-shot call borrows the caller's shards instead of
-// copying them into a throwaway service.  Resident callers should hold a
-// KnnService and amortize the index build across batches.
+// The batched dataset-level entries compose the decomposed stages
+// directly: make_shard_indexes → score_vector_shards_batch →
+// classify/regress_scored_batch.  KnnService::classify_batch/regress_batch
+// score the same shards sealed into its stores instead (byte equality
+// against the facade is asserted in tests/test_service.cpp); composing here
+// lets a one-shot call borrow the caller's shards instead of copying them
+// into a throwaway service.  Resident callers should hold a KnnService and
+// amortize the index build across batches.
 
 std::vector<ClassifyResult> classify_batch(const std::vector<VectorShard>& shards,
                                            const std::vector<std::vector<std::uint32_t>>& labels,

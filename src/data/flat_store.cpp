@@ -1,5 +1,9 @@
 #include "data/flat_store.hpp"
 
+#include <cmath>
+
+#include "data/validate.hpp"
+
 namespace dknn {
 
 FlatStore::FlatStore(std::span<const PointD> points, std::span<const PointId> ids)
@@ -7,11 +11,18 @@ FlatStore::FlatStore(std::span<const PointD> points, std::span<const PointId> id
   DKNN_REQUIRE(points.size() == ids.size(), "FlatStore: points/ids must align");
   coords_.resize(n_ * d_);
   ids_.assign(ids.begin(), ids.end());
+  // Finiteness rides the packing pass: a separate pass would read every
+  // coordinate of a large dataset a second time.
+  bool finite = true;
   for (std::size_t i = 0; i < n_; ++i) {
     const PointD& p = points[i];
     DKNN_REQUIRE(p.dim() == d_, "FlatStore: all points must share one dimension");
-    for (std::size_t j = 0; j < d_; ++j) coords_[j * n_ + i] = p[j];
+    for (std::size_t j = 0; j < d_; ++j) {
+      coords_[j * n_ + i] = p[j];
+      finite &= std::isfinite(p[j]);
+    }
   }
+  if (!finite) throw NonFiniteCoordinateError(non_finite_coordinate_text());
 }
 
 FlatStore::FlatStore(std::shared_ptr<const std::vector<double>> coords,

@@ -44,7 +44,9 @@ public:
   explicit FlatStore(std::size_t dim) : d_(dim) {}
 
   /// Packs `points` (all of dimension points[0].dim()) and their aligned
-  /// ids.  Empty `points` gives an empty store of dimension 0.
+  /// ids.  Empty `points` gives an empty store of dimension 0.  Throws
+  /// NonFiniteCoordinateError (data/validate.hpp) on a NaN or ±∞
+  /// coordinate.
   FlatStore(std::span<const PointD> points, std::span<const PointId> ids);
 
   /// Shared-view mode: rows [0, n) of capacity-strided column buffers

@@ -16,9 +16,10 @@
 /// so pre-existing EXPECT_THROW(…, InvariantError) tests and catch sites
 /// keep working; the subtypes exist so callers can discriminate.
 ///
-///   PreconditionError            bad caller input (base)
-///   ├── DimensionMismatchError   query dimension ≠ dataset dimension
-///   └── InvalidEllError          ℓ = 0 where an answer is required
+///   PreconditionError              bad caller input (base)
+///   ├── DimensionMismatchError     query dimension ≠ dataset dimension
+///   ├── InvalidEllError            ℓ = 0 where an answer is required
+///   └── NonFiniteCoordinateError   a NaN or ±∞ coordinate in a point or query
 ///
 /// ℓ-semantics note: *scoring* an ℓ of zero is well-defined (empty local
 /// top-ℓ slots — ParityFuzz.EllZeroYieldsEmptySlots pins it) and the
@@ -29,8 +30,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
+#include "data/point.hpp"
 #include "support/panic.hpp"
 
 namespace dknn {
@@ -53,6 +56,16 @@ class InvalidEllError final : public PreconditionError {
   using PreconditionError::PreconditionError;
 };
 
+/// A point or query with a NaN or infinite coordinate.  Its distances are
+/// NaN (or ∞ − ∞ = NaN against another infinity), which no Key can encode,
+/// so it is rejected before it can be scored: by the facade's query and
+/// insert entries, by SegmentStore inserts, and by the FlatStore /
+/// KdRangeIndex a dataset is packed into.
+class NonFiniteCoordinateError final : public PreconditionError {
+ public:
+  using PreconditionError::PreconditionError;
+};
+
 /// The exact text every dimension-mismatch failure carries (exposed so
 /// tests can assert it without duplicating the format).
 [[nodiscard]] std::string dimension_mismatch_text(std::size_t expected, std::size_t got);
@@ -60,11 +73,18 @@ class InvalidEllError final : public PreconditionError {
 /// The exact text every ℓ-must-be-positive failure carries.
 [[nodiscard]] const char* positive_ell_text();
 
+/// The exact text every non-finite-coordinate failure carries.
+[[nodiscard]] const char* non_finite_coordinate_text();
+
 /// Throws DimensionMismatchError unless got == expected.  `expected` is
 /// the dataset's dimension, `got` the query's.
 void require_query_dim(std::size_t expected, std::size_t got);
 
 /// Throws InvalidEllError unless ell >= 1.
 void require_positive_ell(std::uint64_t ell);
+
+/// Throws NonFiniteCoordinateError unless every coordinate is finite.
+void require_finite(const PointD& point);
+void require_finite(std::span<const PointD> points);
 
 }  // namespace dknn

@@ -105,6 +105,7 @@ KdRangeIndex::KdRangeIndex(std::span<const PointD> points, std::span<const Point
   for (const auto& p : points) {
     DKNN_REQUIRE(p.dim() == d, "KdRangeIndex: inconsistent dimensions");
   }
+  require_finite(points);  // before any split compares a NaN
 
   std::vector<std::size_t> order(points.size());
   std::iota(order.begin(), order.end(), 0);

@@ -123,7 +123,8 @@ class KdRangeIndex {
 
   /// Builds the reordered store + tree; O(n·d·log(n/leaf_size)).
   /// `ids[i]` labels `points[i]`; all points must share one dimension ≥ 1
-  /// (an empty input builds an empty index).
+  /// (an empty input builds an empty index) and be finite
+  /// (NonFiniteCoordinateError otherwise).
   KdRangeIndex(std::span<const PointD> points, std::span<const PointId> ids,
                std::size_t leaf_size = kDefaultLeafSize);
 

@@ -39,31 +39,19 @@ StoreMetrics& store_metrics() {
   return m;
 }
 
-/// Seals an AoS point set into an immutable segment under `policy`
-/// (Approx segments stay flat and carry a lazily-built graph slot when
-/// large enough; config.ann supplies the graph knobs).
+/// Seals an AoS point set into an immutable segment under the config's
+/// policy: the shard's scoring structures plus the id → row map.
 std::shared_ptr<const SealedSegment> build_segment(std::span<const PointD> points,
                                                    std::span<const PointId> ids,
-                                                   ScoringPolicy policy,
                                                    const ServeConfig& config) {
   auto segment = std::make_shared<SealedSegment>();
-  const std::size_t n = points.size();
-  const std::size_t dim = n == 0 ? 0 : points[0].dim();
-  const bool tree = n > 0 && dim >= 1 &&
-                    (policy == ScoringPolicy::Tree ||
-                     (policy == ScoringPolicy::Auto && tree_pays_off(n, dim)));
-  if (tree) {
-    segment->tree = std::make_unique<KdRangeIndex>(points, ids, config.leaf_size);
-  } else {
-    segment->flat = FlatStore(points, ids);
-  }
-  if (policy == ScoringPolicy::Approx && n >= std::max<std::size_t>(config.ann.min_points, 2)) {
-    segment->ann = std::make_shared<ann::GraphSlot>(config.ann);
-  }
+  static_cast<ShardIndex&>(*segment) =
+      make_shard_index(points, ids, config.policy, config.leaf_size, config.ann);
   const FlatStore& store = segment->store();
   segment->row_of.reserve(store.size());
   for (std::size_t i = 0; i < store.size(); ++i) {
-    segment->row_of.emplace(store.id(i), static_cast<std::uint32_t>(i));
+    const bool fresh = segment->row_of.emplace(store.id(i), static_cast<std::uint32_t>(i)).second;
+    DKNN_REQUIRE(fresh, "SegmentStore: duplicate id");
   }
   return segment;
 }
@@ -102,6 +90,29 @@ SegmentView make_clean_view(std::shared_ptr<const SealedSegment> data,
 
 }  // namespace
 
+ShardIndex make_shard_index(std::span<const PointD> points, std::span<const PointId> ids,
+                            ScoringPolicy policy, std::size_t leaf_size,
+                            const ann::AnnConfig& ann) {
+  DKNN_REQUIRE(points.size() == ids.size(), "shard points/ids must align");
+  ShardIndex index;
+  const std::size_t n = points.size();
+  const std::size_t dim = n == 0 ? 0 : points[0].dim();
+  const bool tree = n > 0 && dim >= 1 &&
+                    (policy == ScoringPolicy::Tree ||
+                     (policy == ScoringPolicy::Auto && tree_pays_off(n, dim)));
+  if (tree) {
+    index.tree = std::make_unique<KdRangeIndex>(points, ids, leaf_size);
+  } else {
+    index.flat = FlatStore(points, ids);
+  }
+  // Approx shards stay flat (the graph's rerank and the exact fallback both
+  // scan the store); shards below min_points stay graph-less and exact.
+  if (policy == ScoringPolicy::Approx && n >= std::max<std::size_t>(ann.min_points, 2)) {
+    index.ann = std::make_shared<ann::GraphSlot>(ann);
+  }
+  return index;
+}
+
 bool ServeSnapshot::contains(PointId id) const {
   for (const SegmentView& seg : segments) {
     const SealedSegment& data = *seg.data;
@@ -122,11 +133,22 @@ bool ServeSnapshot::contains(PointId id) const {
 }
 
 SegmentStore::SegmentStore(std::size_t dim, ServeConfig config)
+    : SegmentStore(dim, {}, {}, config) {}
+
+SegmentStore::SegmentStore(std::size_t dim, std::span<const PointD> points,
+                           std::span<const PointId> ids, ServeConfig config)
     : dim_(dim), config_(config) {
   DKNN_REQUIRE(dim_ >= 1, "SegmentStore: needs dimension >= 1");
   DKNN_REQUIRE(config_.seal_threshold >= 1, "SegmentStore: seal_threshold must be positive");
+  for (const PointD& point : points) {
+    DKNN_REQUIRE(point.dim() == dim_, "SegmentStore: point dimension mismatch");
+  }
   const std::lock_guard<std::mutex> lock(writer_mutex_);
-  publish_locked();  // epoch 1: the empty store
+  if (!points.empty()) {
+    segments_.push_back(make_clean_view(build_segment(points, ids, config_), next_segment_id_++));
+    store_metrics().seals.add();
+  }
+  publish_locked();  // epoch 1
 }
 
 SegmentStore::~SegmentStore() {
@@ -157,6 +179,7 @@ std::uint64_t SegmentStore::insert_batch(std::span<const PointD> points,
   batch_ids.reserve(ids.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     DKNN_REQUIRE(points[i].dim() == dim_, "SegmentStore: point dimension mismatch");
+    require_finite(points[i]);
     // Unique live ids (paper §2): duplicates would break the total Key
     // order every selection algorithm relies on.  Validation runs before
     // any append so a rejected batch leaves the store untouched.
@@ -222,7 +245,7 @@ std::uint64_t SegmentStore::seal() {
 
 void SegmentStore::seal_locked() {
   if (delta_points_.empty()) return;
-  auto data = build_segment(delta_points_, delta_ids_, config_.policy, config_);
+  auto data = build_segment(delta_points_, delta_ids_, config_);
   segments_.push_back(make_clean_view(std::move(data), next_segment_id_++));
   delta_points_.clear();
   delta_ids_.clear();
@@ -444,7 +467,7 @@ std::shared_ptr<const SealedSegment> SegmentStore::merge_segments(
     }
   }
   if (points.empty()) return nullptr;
-  return build_segment(points, ids, config.policy, config);
+  return build_segment(points, ids, config);
 }
 
 std::uint64_t SegmentStore::mirror_copied_bytes() const {
@@ -499,13 +522,11 @@ bool SegmentStore::install_compaction(const CompactionPlan& plan,
 
 namespace {
 
-/// Shared engine of the exact and approx snapshot scorers: accumulates
-/// every live segment's local top-ℓ into per-query candidate pools and
-/// merges.  With `approx`, graph-carrying segments are beam-searched and
-/// exact-reranked instead of scanned (the only place the two paths
-/// diverge); min(ℓ, live) of the pooled candidates is the global answer —
-/// exactly for the exact path, with per-segment recall semantics for the
-/// approx one.
+/// Shared engine of the exact and approx snapshot scorers: every live
+/// segment's local top-ℓ through shard_top_ell_batch, pooled per query and
+/// re-selected — min(ℓ, live) of the pool is the global answer, exactly
+/// for the exact path, with per-segment recall semantics for the approx
+/// one.
 void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                            std::size_t ell, MetricKind kind, bool approx,
                            std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
@@ -520,47 +541,12 @@ void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD
 
   std::vector<std::vector<Key>> candidates(queries.size());
   std::vector<std::vector<Key>> segment_keys;
-  ann::AnnSearchScratch ann_scratch;
   for (const SegmentView& seg : snapshot.segments) {
     if (seg.live() == 0) continue;
-    if (approx && seg.data->ann != nullptr) {
-      // Graph segment: seeded beam search for candidates, exact rerank for
-      // Keys.  The view's tombstones filter the results (the graph is
-      // shared across snapshots, so per-snapshot deadness lives here).
-      const ann::KnnGraph& graph = seg.data->ann->get_or_build(seg.data->store());
-      const std::size_t ef = std::max(seg.data->ann->config().ef, ell);
-      const std::uint8_t* dead = seg.dead_count == 0 ? nullptr : seg.dead->data();
-      segment_keys.resize(1);
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        ann::ann_top_ell(graph, queries[q], ell, ef, kind, dead, segment_keys[0], ann_scratch,
-                         scratch);
-        candidates[q].insert(candidates[q].end(), segment_keys[0].begin(),
-                             segment_keys[0].end());
-      }
-    } else if (seg.dead_count == 0) {
-      // Clean segment: full-speed batch kernels (kd-hybrid when present).
-      if (seg.data->tree != nullptr) {
-        hybrid_top_ell_batch(*seg.data->tree, queries, ell, kind, segment_keys, scratch);
-      } else {
-        fused_top_ell_batch(seg.data->store(), queries, ell, kind, segment_keys, scratch);
-      }
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        candidates[q].insert(candidates[q].end(), segment_keys[q].begin(),
-                             segment_keys[q].end());
-      }
-    } else {
-      // Tombstoned segment: the same fused machinery over the live row
-      // runs — skipping dead rows is just a range decomposition, which
-      // RangeTopEll guarantees is byte-identical.  Compaction restores
-      // this segment to the batch path above.
-      segment_keys.resize(1);
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        RangeTopEll scorer(seg.data->store(), queries[q], ell, kind, scratch);
-        for (const auto& [lo, hi] : *seg.live_runs) scorer.score_range(lo, hi);
-        scorer.finish(segment_keys[0]);
-        candidates[q].insert(candidates[q].end(), segment_keys[0].begin(),
-                             segment_keys[0].end());
-      }
+    shard_top_ell_batch(*seg.data, seg.dead_count == 0 ? nullptr : &seg, queries, ell, kind,
+                        approx, segment_keys, scratch);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      candidates[q].insert(candidates[q].end(), segment_keys[q].begin(), segment_keys[q].end());
     }
   }
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -569,6 +555,40 @@ void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD
 }
 
 }  // namespace
+
+void shard_top_ell_batch(const ShardIndex& shard, const SegmentView* tombstones,
+                         std::span<const PointD> queries, std::size_t ell, MetricKind kind,
+                         bool approx, std::vector<std::vector<Key>>& out,
+                         KernelScratch& scratch) {
+  if (approx && shard.ann != nullptr) {
+    // Graph shard: seeded beam search for candidates, exact rerank for
+    // Keys.  The view's tombstones filter the results (the graph is shared
+    // across snapshots, so per-snapshot deadness lives in the view).
+    const ann::KnnGraph& graph = shard.ann->get_or_build(shard.store());
+    const std::size_t ef = std::max(shard.ann->config().ef, ell);
+    const std::uint8_t* dead = tombstones == nullptr ? nullptr : tombstones->dead->data();
+    ann::AnnSearchScratch ann_scratch;
+    out.resize(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      ann::ann_top_ell(graph, queries[q], ell, ef, kind, dead, out[q], ann_scratch, scratch);
+    }
+  } else if (tombstones != nullptr) {
+    // Tombstoned segment: the same fused machinery over the live row runs —
+    // skipping dead rows is just a range decomposition, which RangeTopEll
+    // guarantees is byte-identical.  Compaction restores this segment to
+    // the batch paths below.
+    out.resize(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      RangeTopEll scorer(shard.store(), queries[q], ell, kind, scratch);
+      for (const auto& [lo, hi] : *tombstones->live_runs) scorer.score_range(lo, hi);
+      scorer.finish(out[q]);
+    }
+  } else if (shard.has_tree()) {
+    hybrid_top_ell_batch(*shard.tree, queries, ell, kind, out, scratch);
+  } else {
+    fused_top_ell_batch(shard.store(), queries, ell, kind, out, scratch);
+  }
+}
 
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                             std::size_t ell, MetricKind kind,

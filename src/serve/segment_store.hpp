@@ -73,27 +73,45 @@ struct ServeConfig {
   ann::AnnConfig ann{};
 };
 
+/// One shard's resident scoring structures — what a machine scores its
+/// local top-ℓ from: always an SoA store, plus the kd-tree when the policy
+/// picked the hybrid for this shard, plus a lazily-built k-NN graph slot
+/// when the policy is Approx and the shard is large enough.  Static shards
+/// (make_shard_indexes) and sealed segments share this type, its builder
+/// (make_shard_index) and its scorer (shard_top_ell_batch).
+struct ShardIndex {
+  FlatStore flat;                      ///< engaged iff tree == nullptr
+  std::unique_ptr<KdRangeIndex> tree;  ///< engaged iff the tree path won
+  /// Lazily-built k-NN graph (ScoringPolicy::Approx shards of ≥
+  /// AnnConfig::min_points rows only; see src/ann/README.md).  The graph
+  /// is a pure function of (store bytes, slot config), so sharing the
+  /// built instance across every snapshot referencing a segment is sound;
+  /// compaction's merged segment gets a fresh slot, which is the
+  /// rebuild-on-compaction hook.
+  std::shared_ptr<ann::GraphSlot> ann;
+
+  [[nodiscard]] bool has_tree() const { return tree != nullptr; }
+  /// The store queries scan (the tree's reordered mirror when present).
+  [[nodiscard]] const FlatStore& store() const { return tree ? tree->store() : flat; }
+};
+
+/// Builds one shard's scoring structures under `policy`: a kd-tree when
+/// the policy is Tree (or Auto and tree_pays_off), else a flat store; Approx
+/// shards of ≥ ann.min_points rows also get a graph slot.
+[[nodiscard]] ShardIndex make_shard_index(std::span<const PointD> points,
+                                          std::span<const PointId> ids, ScoringPolicy policy,
+                                          std::size_t leaf_size = KdRangeIndex::kDefaultLeafSize,
+                                          const ann::AnnConfig& ann = {});
+
 /// One sealed segment's heavy immutable payload.  Built once (at seal or
 /// compaction time, possibly on a background thread) and shared by every
 /// snapshot that references it.
-struct SealedSegment {
-  FlatStore flat;                      ///< engaged iff tree == nullptr
-  std::unique_ptr<KdRangeIndex> tree;  ///< engaged iff the tree path won
+struct SealedSegment : ShardIndex {
   /// id → row of store() — erase/contains lookups without scans.  Left
   /// empty on the delta mirror (ServeSnapshot::contains scans it instead;
   /// filling it would cost O(delta) per publish, defeating the O(d)
   /// incremental mirror).
   std::unordered_map<PointId, std::uint32_t> row_of;
-  /// Lazily-built k-NN graph (ScoringPolicy::Approx segments of ≥
-  /// AnnConfig::min_points rows only; see src/ann/README.md).  The graph
-  /// is a pure function of (store bytes, slot config), so sharing the
-  /// built instance across every snapshot referencing this segment is
-  /// sound; compaction's merged segment gets a fresh slot, which is the
-  /// rebuild-on-compaction hook.
-  std::shared_ptr<ann::GraphSlot> ann;
-
-  /// The store queries scan (the tree's reordered mirror when present).
-  [[nodiscard]] const FlatStore& store() const { return tree ? tree->store() : flat; }
 };
 
 /// Maximal [lo, hi) row ranges of live (non-tombstoned) points.
@@ -116,6 +134,18 @@ struct SegmentView {
   [[nodiscard]] std::size_t rows() const { return data->store().size(); }
   [[nodiscard]] std::size_t live() const { return rows() - dead_count; }
 };
+
+/// One shard's local top-ℓ per query through its policy path: the graph
+/// beam search + exact rerank when `approx` is set and the shard carries a
+/// graph slot, else the kd-hybrid when it carries a tree, else the fused
+/// batch kernel.  `tombstones` is the segment's view when it has dead rows
+/// (null = every row live): the graph walk filters them, and the exact
+/// path scores the view's live runs through RangeTopEll instead.  `out` is
+/// resized to queries.size(); out[q] holds min(ℓ, live) keys ascending.
+void shard_top_ell_batch(const ShardIndex& shard, const SegmentView* tombstones,
+                         std::span<const PointD> queries, std::size_t ell, MetricKind kind,
+                         bool approx, std::vector<std::vector<Key>>& out,
+                         KernelScratch& scratch);
 
 /// Immutable frozen view of the whole store at one epoch.  The delta
 /// buffer appears as a final tombstone-free SegmentView, so queries treat
@@ -150,7 +180,15 @@ struct CompactionConfig {
 /// mutex); `snapshot()` is wait-free with respect to writers.
 class SegmentStore {
  public:
+  /// An empty store at epoch 1.
   explicit SegmentStore(std::size_t dim, ServeConfig config = {});
+  /// A store whose initial points are sealed straight into one segment —
+  /// no pass through the delta — and published as epoch 1.  The snapshot
+  /// scores exactly as insert_batch + seal would leave it.  `ids` must be
+  /// distinct (DKNN_REQUIREd) and coordinates finite
+  /// (NonFiniteCoordinateError).
+  SegmentStore(std::size_t dim, std::span<const PointD> points, std::span<const PointId> ids,
+               ServeConfig config = {});
   /// Withdraws this store's contribution from the process-wide obs
   /// live/dead gauges so a torn-down store stops counting.
   ~SegmentStore();
@@ -159,8 +197,9 @@ class SegmentStore {
   [[nodiscard]] const ServeConfig& config() const { return config_; }
 
   /// Appends a live point.  `id` must be distinct from every live id
-  /// (the paper's §2 unique-id invariant; DKNN_REQUIREd).  Seals the
-  /// delta automatically at the threshold.  Returns the published epoch.
+  /// (the paper's §2 unique-id invariant; DKNN_REQUIREd) and its
+  /// coordinates finite (NonFiniteCoordinateError).  Seals the delta
+  /// automatically at the threshold.  Returns the published epoch.
   std::uint64_t insert(const PointD& point, PointId id);
 
   /// Bulk insert (one snapshot publish for the whole span).

@@ -33,6 +33,17 @@ inline std::vector<Key> reference_top_ell(const VectorShard& shard, const PointD
   return top_ell_smallest(std::span<const Key>(scored), ell);
 }
 
+/// One store per shard, its points sealed at construction — the machines a
+/// static KnnService scores.
+inline std::vector<SnapshotPtr> sealed_snapshots(const std::vector<VectorShard>& shards,
+                                                 std::size_t dim, const ServeConfig& serve) {
+  std::vector<SnapshotPtr> snapshots;
+  for (const VectorShard& shard : shards) {
+    snapshots.push_back(SegmentStore(dim, shard.points, shard.ids, serve).snapshot());
+  }
+  return snapshots;
+}
+
 /// Byte-level Key comparison; fatal on the first divergence (rank bits
 /// count, not just ids — a single rank bit can flip a selection far
 /// downstream).

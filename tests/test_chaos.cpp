@@ -378,6 +378,73 @@ TEST(ChaosDirected, RecoveryAndFaultSurfaceTypedErrors) {
   EXPECT_THROW((void)service.recover_machine(0), ServiceStateError);
 }
 
+// --- directed: the static fault-tolerant facade ------------------------------
+
+TEST(ChaosDirected, StaticFaultTolerantServiceDegradesAndRevives) {
+  const std::uint32_t k = 4;
+  const std::uint64_t ell = 6;
+  Rng rng(29);
+  std::vector<VectorShard> shards(k);
+  std::unordered_map<PointId, PointD> shadow;
+  PointId next_id = 1;
+  for (VectorShard& shard : shards) {
+    for (int i = 0; i < 15; ++i) {
+      const PointD p = random_point(3, rng);
+      shard.points.push_back(p);
+      shard.ids.push_back(next_id);
+      shadow.emplace(next_id++, p);
+    }
+  }
+  const auto build = [&](bool fault_tolerant) {
+    KnnServiceBuilder builder;
+    builder.ell(ell).metric(kChaosKind).cache_capacity(64).dataset_sharded(shards);
+    if (fault_tolerant) builder.fault_tolerant();
+    return builder.build();
+  };
+  KnnService service = build(true);
+  KnnService twin = build(false);  // never fails
+  ASSERT_FALSE(service.live());
+  std::vector<PointD> queries;
+  for (int q = 0; q < 5; ++q) queries.push_back(random_point(3, rng));
+
+  // A killed machine drops out: answers are exact over the survivors and
+  // the coverage names exactly the dead machine.
+  service.kill_machine(2);
+  std::vector<PointId> survivors;
+  for (std::size_t m = 0; m < k; ++m) {
+    if (m != 2) survivors.insert(survivors.end(), shards[m].ids.begin(), shards[m].ids.end());
+  }
+  for (const PointD& q : queries) {
+    const QueryResult degraded = service.query(q);
+    ASSERT_EQ(degraded.coverage.missing, (std::vector<std::uint32_t>{2}));
+    EXPECT_EQ(degraded.coverage.total, k);
+    EXPECT_EQ(degraded.epoch, 0u);
+    expect_same_keys(member_oracle(shadow, survivors, q, ell), degraded.keys, "static degraded");
+  }
+  service.revive_machine(2);
+
+  // An Unresponsive machine is detected by the deadline probe of the next
+  // cache-missing query.
+  service.set_failure_mode(1, FailureMode{FailureModeKind::Unresponsive, 0});
+  const QueryResult detected = service.query(random_point(3, rng));
+  ASSERT_EQ(detected.coverage.missing, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(service.health().state(1), MachineState::Dead);
+  service.revive_machine(1);
+
+  // Revived: byte-identical to the never-failed twin, still at epoch 0.
+  for (const PointD& q : queries) {
+    const QueryResult got = service.query(q);
+    EXPECT_TRUE(got.coverage.complete());
+    EXPECT_EQ(got.epoch, 0u);
+    expect_same_keys(twin.query(q).keys, got.keys, "static revived");
+  }
+  EXPECT_EQ(service.snapshot_epoch(), 0u);
+
+  // Recovery re-homes points onto survivors, which a static service cannot.
+  service.kill_machine(3);
+  EXPECT_THROW((void)service.recover_machine(3), ServiceStateError);
+}
+
 // --- the chaos fuzz ----------------------------------------------------------
 
 struct ChaosWorld {

@@ -32,6 +32,7 @@ namespace dknn {
 namespace {
 
 using testing_support::expect_same_keys;
+using testing_support::sealed_snapshots;
 
 // --- MachineHealth: transitions, detection, coverage -------------------------
 
@@ -163,13 +164,13 @@ TEST(GuardedScoring, AllAliveByteIdenticalToUnguarded) {
   Rng rng(11);
   auto shards = make_vector_shards(fault_test_points(60, 3, rng), 4,
                                    PartitionScheme::RoundRobin, rng);
-  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Auto);
+  const auto snapshots = sealed_snapshots(shards, 3, ServeConfig{.policy = ScoringPolicy::Auto});
   const auto queries = fault_test_points(5, 3, rng);
 
-  const auto legacy = score_vector_shards_batch(indexes, queries, 6, MetricKind::Euclidean);
+  const auto legacy = score_serve_snapshots_batch(snapshots, queries, 6, MetricKind::Euclidean);
   MachineHealth health(4);
-  const GuardedScoreBatch guarded = score_vector_shards_batch_guarded(
-      indexes, queries, 6, MetricKind::Euclidean, health);
+  const GuardedScoreBatch guarded = score_serve_snapshots_batch_guarded(
+      snapshots, queries, 6, MetricKind::Euclidean, health);
 
   EXPECT_TRUE(guarded.coverage.complete());
   EXPECT_EQ(guarded.coverage.total, 4u);
@@ -185,16 +186,16 @@ TEST(GuardedScoring, DeadMachineSkippedAndDegradedAnswerExact) {
   Rng rng(12);
   auto shards = make_vector_shards(fault_test_points(80, 2, rng), 4,
                                    PartitionScheme::RoundRobin, rng);
-  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Brute);
+  const auto snapshots = sealed_snapshots(shards, 2, ServeConfig{.policy = ScoringPolicy::Brute});
   const auto queries = fault_test_points(4, 2, rng);
   const std::uint64_t ell = 5;
 
-  const auto legacy = score_vector_shards_batch(indexes, queries, ell,
-                                                MetricKind::SquaredEuclidean);
+  const auto legacy = score_serve_snapshots_batch(snapshots, queries, ell,
+                                                  MetricKind::SquaredEuclidean);
   MachineHealth health(4);
   health.kill(2);
-  const GuardedScoreBatch guarded = score_vector_shards_batch_guarded(
-      indexes, queries, ell, MetricKind::SquaredEuclidean, health);
+  const GuardedScoreBatch guarded = score_serve_snapshots_batch_guarded(
+      snapshots, queries, ell, MetricKind::SquaredEuclidean, health);
 
   EXPECT_EQ(guarded.coverage.total, 4u);
   ASSERT_EQ(guarded.coverage.missing, (std::vector<std::uint32_t>{2}));
@@ -249,6 +250,38 @@ TEST(GuardedScoring, ServeSnapshotsSkipDeadStores) {
   for (std::size_t q = 0; q < queries.size(); ++q) {
     EXPECT_TRUE(guarded.scored[q][0].empty());
     EXPECT_FALSE(guarded.scored[q][1].empty());
+  }
+}
+
+TEST(GuardedScoring, MachineRecoveredAfterTheCallersViewIsMissingNotSilent) {
+  // A Retired machine is skipped silently only when the caller's view
+  // already has its points elsewhere (an empty slot).  A view taken before
+  // the recovery — the machine's slot null (dead at publish) or still
+  // holding its points — has that data nowhere else, so the machine is
+  // reported missing.
+  Rng rng(14);
+  auto shards = make_vector_shards(fault_test_points(30, 2, rng), 3,
+                                   PartitionScheme::RoundRobin, rng);
+  const auto sealed = sealed_snapshots(shards, 2, ServeConfig{.policy = ScoringPolicy::Brute});
+  const auto queries = fault_test_points(2, 2, rng);
+  MachineHealth health(3);
+  health.kill(1);
+  health.retire(1);
+
+  const SnapshotPtr empty = std::make_shared<const ServeSnapshot>();
+  const std::vector<SnapshotPtr> recovered_before = {sealed[0], empty, sealed[2]};
+  const GuardedScoreBatch silent = score_serve_snapshots_batch_guarded(
+      recovered_before, queries, 4, MetricKind::Euclidean, health);
+  EXPECT_EQ(silent.coverage.total, 2u);
+  EXPECT_TRUE(silent.coverage.complete());
+
+  const std::vector<SnapshotPtr> dead_at_publish = {sealed[0], nullptr, sealed[2]};
+  for (const auto& view : {dead_at_publish, sealed}) {
+    const GuardedScoreBatch stale = score_serve_snapshots_batch_guarded(
+        view, queries, 4, MetricKind::Euclidean, health);
+    EXPECT_EQ(stale.coverage.total, 3u);
+    ASSERT_EQ(stale.coverage.missing, (std::vector<std::uint32_t>{1}));
+    for (const auto& per_machine : stale.scored) EXPECT_TRUE(per_machine[1].empty());
   }
 }
 
@@ -596,7 +629,9 @@ TEST(ElectionFaults, DuplicateOnlyPlansMustAgree) {
       std::set<MachineId> leaders;
       for (const auto& outcome : outcomes) leaders.insert(outcome.leader);
       ASSERT_EQ(leaders.size(), 1u) << "seed=" << seed << " sublinear=" << sublinear;
-      if (!sublinear) EXPECT_EQ(*leaders.begin(), 0u);
+      if (!sublinear) {
+        EXPECT_EQ(*leaders.begin(), 0u);
+      }
     }
   }
 }

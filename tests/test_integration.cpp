@@ -57,13 +57,15 @@ TEST(Integration, BspCostPrefersAlgorithm2AtLargeEll) {
   // Reproduce the paper's comparison mechanism end-to-end at small scale:
   // under bandwidth-limited links and per-round latency, simulated
   // wall-clock of the simple method must exceed Algorithm 2's for large ℓ.
+  // Compute is not measured, so the cost is rounds × α alone and the
+  // comparison is deterministic (at seed 3: 515 rounds against 115).
   constexpr std::uint32_t k = 8;
   auto scored = scored_fixture(1 << 13, k, 2);
   EngineConfig config;
   config.seed = 3;
   config.bandwidth = BandwidthPolicy::Chunked;
   config.bits_per_round = 256;
-  config.measure_compute = true;
+  config.measure_compute = false;
   constexpr std::uint64_t ell = 1024;
 
   const auto fast = run_knn(scored, ell, KnnAlgo::DistKnn, config);

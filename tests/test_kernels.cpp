@@ -381,10 +381,10 @@ TEST(BatchDriver, ScoreBatchMatchesPerQueryTopEll) {
   Rng rng(41);
   auto points = uniform_points(900, 4, 50.0, rng);
   const auto shards = make_vector_shards(std::move(points), 5, PartitionScheme::Random, rng);
-  const auto stores = make_flat_stores(shards);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Brute);
   const auto queries = uniform_points(7, 4, 50.0, rng);
   for (const MetricKind kind : kAllKinds) {
-    const auto scored = score_vector_shards_batch(stores, queries, 16, kind);
+    const auto scored = score_vector_shards_batch(indexes, queries, 16, kind);
     ASSERT_EQ(scored.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       ASSERT_EQ(scored[q].size(), shards.size());
@@ -402,9 +402,9 @@ TEST(BatchDriver, HandlesEmptyShards) {
   Rng rng(42);
   auto points = uniform_points(3, 2, 50.0, rng);
   const auto shards = make_vector_shards(std::move(points), 6, PartitionScheme::FirstHeavy, rng);
-  const auto stores = make_flat_stores(shards);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Brute);
   const auto queries = uniform_points(2, 2, 50.0, rng);
-  const auto scored = score_vector_shards_batch(stores, queries, 4, MetricKind::Euclidean);
+  const auto scored = score_vector_shards_batch(indexes, queries, 4, MetricKind::Euclidean);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     for (std::size_t m = 0; m < shards.size(); ++m) {
       expect_same_keys(reference_top_ell(shards[m], queries[q], MetricKind::Euclidean, 4),
@@ -417,10 +417,10 @@ TEST(BatchDriver, RunKnnBatchMatchesPerQueryRuns) {
   Rng rng(43);
   auto points = uniform_points(1200, 3, 50.0, rng);
   const auto shards = make_vector_shards(std::move(points), 8, PartitionScheme::RoundRobin, rng);
-  const auto stores = make_flat_stores(shards);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Brute);
   const auto queries = uniform_points(5, 3, 50.0, rng);
   const std::uint64_t ell = 24;
-  const auto scored = score_vector_shards_batch(stores, queries, ell);
+  const auto scored = score_vector_shards_batch(indexes, queries, ell);
 
   EngineConfig engine;
   engine.seed = 99;
@@ -442,10 +442,10 @@ TEST(BatchDriver, AllAlgosAgreeOnBatch) {
   Rng rng(44);
   auto points = uniform_points(640, 2, 50.0, rng);
   const auto shards = make_vector_shards(std::move(points), 4, PartitionScheme::RoundRobin, rng);
-  const auto stores = make_flat_stores(shards);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Brute);
   const auto queries = uniform_points(3, 2, 50.0, rng);
   const std::uint64_t ell = 10;
-  const auto scored = score_vector_shards_batch(stores, queries, ell);
+  const auto scored = score_vector_shards_batch(indexes, queries, ell);
   EngineConfig engine;
   engine.seed = 7;
   for (const KnnAlgo algo : {KnnAlgo::DistKnn, KnnAlgo::CappedSelect, KnnAlgo::Simple,

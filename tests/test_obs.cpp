@@ -304,7 +304,9 @@ TEST(ObsParity, TracedAndUntracedAnswersAreByteIdentical) {
     for (const PointD& q : queries) out.push_back(service.query(q, options).keys);
     const BatchQueryResult batch = service.query_batch(queries, options);
     for (const QueryResult& r : batch.per_query) out.push_back(r.keys);
-    if (force) EXPECT_FALSE(service.recent_traces().empty());
+    if (force) {
+      EXPECT_FALSE(service.recent_traces().empty());
+    }
     return out;
   };
 

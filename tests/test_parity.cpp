@@ -1,10 +1,11 @@
 // Cross-path parity harness: every local-scoring execution path must
 // produce *byte-identical* Key sets — serial brute force, parallel brute
 // force (any thread count / tiling), and the kd-tree/FlatStore hybrid, for
-// all four metrics.  Randomized fuzz (seeded; the failing trial's seed and
-// shape are logged via SCOPED_TRACE so failures replay exactly) plus
-// directed edge cases: d ∈ {1..24}, exact distance ties, duplicate points,
-// ℓ ≥ n, ℓ = 0, and empty shards.
+// all four metrics, from both shard sources (ShardIndexes and the sealed
+// SegmentStore snapshots a static KnnService scores).  Randomized fuzz
+// (seeded; the failing trial's seed and shape are logged via SCOPED_TRACE
+// so failures replay exactly) plus directed edge cases: d ∈ {1..24}, exact
+// distance ties, duplicate points, ℓ ≥ n, ℓ = 0, and empty shards.
 //
 // Why byte-identical and not "same ids": the distributed algorithms select
 // on (distance-rank, id) keys, so a single rank bit that differs between
@@ -31,6 +32,7 @@ namespace dknn {
 namespace {
 
 using testing_support::reference_top_ell;
+using testing_support::sealed_snapshots;
 
 constexpr MetricKind kAllKinds[] = {MetricKind::Euclidean, MetricKind::SquaredEuclidean,
                                     MetricKind::Manhattan, MetricKind::Chebyshev};
@@ -151,30 +153,28 @@ void check_all_paths(const FuzzCase& fc) {
       {"parallel-split-auto", ScoringPolicy::Auto,
        {.threads = 4, .query_block = 2, .shard_split_rows = 32}},
   };
-  for (const Path& path : paths) {
-    SCOPED_TRACE(path.name);
-    const auto indexes = make_shard_indexes(fc.shards, path.policy, fc.leaf_size);
-    const auto got =
-        score_vector_shards_batch(indexes, fc.queries, fc.ell, fc.kind, path.config);
+  const auto expect_oracle = [&](const std::vector<std::vector<std::vector<Key>>>& got,
+                                    const char* name) {
     ASSERT_EQ(got.size(), fc.queries.size());
     for (std::size_t q = 0; q < fc.queries.size(); ++q) {
       ASSERT_EQ(got[q].size(), fc.shards.size());
       for (std::size_t m = 0; m < fc.shards.size(); ++m) {
-        expect_same_keys(expected[q][m], got[q][m], path.name, q, m);
+        expect_same_keys(expected[q][m], got[q][m], name, q, m);
       }
     }
-  }
-
-  // The pre-existing FlatStore overload stays on the same bytes too.
-  {
-    SCOPED_TRACE("legacy-flat-stores");
-    const auto got =
-        score_vector_shards_batch(make_flat_stores(fc.shards), fc.queries, fc.ell, fc.kind);
-    for (std::size_t q = 0; q < fc.queries.size(); ++q) {
-      for (std::size_t m = 0; m < fc.shards.size(); ++m) {
-        expect_same_keys(expected[q][m], got[q][m], "legacy", q, m);
-      }
-    }
+  };
+  for (const Path& path : paths) {
+    SCOPED_TRACE(path.name);
+    const auto indexes = make_shard_indexes(fc.shards, path.policy, fc.leaf_size);
+    expect_oracle(
+        score_vector_shards_batch(indexes, fc.queries, fc.ell, fc.kind, path.config),
+        "shard-indexes");
+    // Snapshot source: the same shards sealed into stores, through the
+    // same config — split configs split the sole clean segment.
+    const ServeConfig serve{.policy = path.policy, .leaf_size = fc.leaf_size};
+    expect_oracle(score_serve_snapshots_batch(sealed_snapshots(fc.shards, fc.dim, serve),
+                                                fc.queries, fc.ell, fc.kind, path.config),
+                    "sealed-stores");
   }
 }
 
@@ -296,16 +296,22 @@ TEST(ParityFuzz, GiantShardSplitsByteIdenticalToUnsplitGrid) {
   }
 
   const auto indexes = make_shard_indexes(fc.shards, ScoringPolicy::Brute);
+  const auto snapshots =
+      sealed_snapshots(fc.shards, fc.dim, ServeConfig{.policy = ScoringPolicy::Brute});
   const auto unsplit = score_vector_shards_batch(indexes, fc.queries, fc.ell, fc.kind,
                                                  BatchScoringConfig{.threads = 3});
   for (const std::size_t split : {4096u, 1000u, 777u, 23u}) {
     SCOPED_TRACE(split);
-    const auto got = score_vector_shards_batch(
-        indexes, fc.queries, fc.ell, fc.kind,
-        BatchScoringConfig{.threads = 3, .shard_split_rows = split});
+    const BatchScoringConfig config{.threads = 3, .shard_split_rows = split};
+    const auto got = score_vector_shards_batch(indexes, fc.queries, fc.ell, fc.kind, config);
+    // Snapshot source: the giant shard is one clean sealed segment, so it
+    // splits the same way.
+    const auto from_stores =
+        score_serve_snapshots_batch(snapshots, fc.queries, fc.ell, fc.kind, config);
     for (std::size_t q = 0; q < fc.queries.size(); ++q) {
       for (std::size_t m = 0; m < fc.shards.size(); ++m) {
         expect_same_keys(unsplit[q][m], got[q][m], "split-grid", q, m);
+        expect_same_keys(unsplit[q][m], from_stores[q][m], "split-stores", q, m);
       }
     }
   }

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +27,7 @@
 #include "data/generators.hpp"
 #include "data/kernels.hpp"
 #include "data/simd/dispatch.hpp"
+#include "data/validate.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "serve/compactor.hpp"
@@ -125,6 +127,25 @@ TEST(SegmentStore, RejectsDuplicateLiveIdsAndDimensionMismatch) {
   const auto keys = snapshot_top_ell(*store.snapshot(), reborn, 1, MetricKind::Euclidean);
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(keys[0].id, 42u);
+}
+
+TEST(SegmentStore, RejectsNonFiniteCoordinatesBeforeMutating) {
+  // A rejected batch leaves the store untouched, so the next seal (which
+  // packs a FlatStore that would refuse the point) never gets stuck.
+  Rng rng(3);
+  SegmentStore store(2, ServeConfig{.seal_threshold = 2});
+  const std::uint64_t epoch = store.epoch();
+  const std::vector<PointD> batch = {uniform_points(1, 2, 9.0, rng)[0],
+                                     PointD({1.0, std::numeric_limits<double>::quiet_NaN()})};
+  const std::vector<PointId> ids = {1, 2};
+  EXPECT_THROW(store.insert_batch(batch, ids), NonFiniteCoordinateError);
+  EXPECT_EQ(store.epoch(), epoch);
+  EXPECT_EQ(store.live_points(), 0u);
+  store.insert(batch[0], 1);
+  store.insert(uniform_points(1, 2, 9.0, rng)[0], 2);  // seals
+  EXPECT_EQ(store.segment_count(), 1u);
+  // The bulk constructor refuses the same point.
+  EXPECT_THROW(SegmentStore(2, batch, ids), NonFiniteCoordinateError);
 }
 
 TEST(SegmentStore, SnapshotsAreImmutableUnderMutation) {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -181,6 +182,121 @@ TEST(ServiceErrors, DimensionMismatchIsWordedIdenticallyAcrossEveryEntry) {
     } catch (const DimensionMismatchError& e) {
       EXPECT_EQ(std::string(e.what()), expected);
     }
+  }
+}
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+template <typename Call>
+void expect_non_finite_rejected(const Call& call, const char* entry) {
+  SCOPED_TRACE(entry);
+  try {
+    call();
+    FAIL() << "expected NonFiniteCoordinateError";
+  } catch (const NonFiniteCoordinateError& e) {
+    EXPECT_EQ(std::string(e.what()), non_finite_coordinate_text());
+  }
+}
+
+TEST(ServiceErrors, NonFiniteCoordinatesRejectedAtEveryEntry) {
+  EXPECT_EQ(std::string(non_finite_coordinate_text()),
+            "dknn: coordinates must be finite (got NaN or infinity)");
+  for (const double bad : kNonFinite) {
+    SCOPED_TRACE(bad);
+    Rng rng(31);
+    const PointD bad_point({1.0, bad});
+
+    // The builder's dataset — flat (static and live, into flat and tree
+    // shards) and pre-sharded.
+    std::vector<PointD> flat = make_points(20, 2, rng);
+    flat[7] = bad_point;
+    for (const ScoringPolicy policy : {ScoringPolicy::Brute, ScoringPolicy::Tree}) {
+      expect_non_finite_rejected(
+          [&] { (void)KnnServiceBuilder().machines(2).policy(policy).dataset(flat).build(); },
+          "dataset");
+      expect_non_finite_rejected(
+          [&] {
+            (void)KnnServiceBuilder().machines(2).policy(policy).live().dataset(flat).build();
+          },
+          "live dataset");
+    }
+    VectorShard shard;
+    shard.points = {PointD({0.0, 0.0}), bad_point};
+    shard.ids = {1, 2};
+    expect_non_finite_rejected([&] { (void)KnnServiceBuilder().dataset_sharded({shard}).build(); },
+                               "dataset_sharded");
+
+    // Every query entry.
+    KnnService service = KnnServiceBuilder()
+                             .machines(2)
+                             .ell(3)
+                             .dataset(make_points(30, 2, rng))
+                             .labels(std::vector<std::uint32_t>(30, 1))
+                             .targets(std::vector<double>(30, 0.5))
+                             .build();
+    const std::vector<PointD> batch = {PointD({0.0, 0.0}), bad_point};
+    expect_non_finite_rejected([&] { (void)service.query(bad_point); }, "query");
+    expect_non_finite_rejected([&] { (void)service.query_batch(batch); }, "query_batch");
+    expect_non_finite_rejected([&] { (void)service.classify(bad_point); }, "classify");
+    expect_non_finite_rejected([&] { (void)service.classify_batch(batch); }, "classify_batch");
+    expect_non_finite_rejected([&] { (void)service.regress(bad_point); }, "regress");
+    expect_non_finite_rejected([&] { (void)service.regress_batch(batch); }, "regress_batch");
+  }
+}
+
+TEST(ServiceErrors, RejectedNonFiniteInsertLeavesNoTrace) {
+  // A rejected insert changes nothing: answers, epoch, payload tables and
+  // the round-robin routing of later inserts all match a twin service
+  // that never saw the bad point.  (k = 4: three rejected inserts that
+  // each advanced the routing would land later inserts elsewhere.)
+  constexpr std::uint32_t k = 4;
+  for (const double bad : kNonFinite) {
+    SCOPED_TRACE(bad);
+    Rng rng(37);
+    const std::vector<PointD> points = make_points(40, 2, rng);
+    const auto build = [&] {
+      return KnnServiceBuilder()
+          .machines(k)
+          .ell(4)
+          .live()
+          .fault_tolerant()
+          .dataset(points)
+          .labels(std::vector<std::uint32_t>(points.size(), 1))
+          .targets(std::vector<double>(points.size(), 0.5))
+          .build();
+    };
+    KnnService service = build();
+    KnnService twin = build();
+    const PointD bad_point({bad, 1.0});
+    expect_non_finite_rejected([&] { (void)service.insert(bad_point, 9000); }, "insert");
+    expect_non_finite_rejected([&] { (void)service.insert_labeled(bad_point, 9000, 2); },
+                               "insert_labeled");
+    expect_non_finite_rejected([&] { (void)service.insert_target(bad_point, 9000, 9.0); },
+                               "insert_target");
+    EXPECT_EQ(service.snapshot_epoch(), twin.snapshot_epoch());
+    EXPECT_FALSE(service.contains(9000));
+    const auto expect_twin_answers = [&](const char* when) {
+      for (const PointD& q : make_points(5, 2, rng)) {
+        const QueryResult got = service.query(q);
+        const QueryResult want = twin.query(q);
+        expect_same_keys(want.keys, got.keys, when);
+        EXPECT_EQ(got.epoch, want.epoch);
+        EXPECT_EQ(service.classify(q).label, twin.classify(q).label);
+      }
+    };
+    expect_twin_answers("after rejected inserts");
+    const PointD probe({0.0, 0.0});
+    EXPECT_EQ(service.regress(probe).prediction, twin.regress(probe).prediction);
+
+    // Later inserts land on the same machines as the twin's.
+    for (PointId id = 9001; id <= 9004; ++id) {
+      const PointD p = make_points(1, 2, rng).front();
+      EXPECT_EQ(service.insert_labeled(p, id, 2), twin.insert_labeled(p, id, 2));
+    }
+    for (std::size_t m = 0; m < k; ++m) EXPECT_EQ(service.live_ids_on(m), twin.live_ids_on(m));
+    expect_twin_answers("after later inserts");
   }
 }
 
@@ -459,6 +575,41 @@ TEST(ServiceLifecycle, ExplicitServeConfigIsNotClobbered) {
                            .build();
   EXPECT_EQ(derived.config().serve.policy, ScoringPolicy::Tree);
   EXPECT_EQ(derived.config().serve.leaf_size, 9u);
+}
+
+TEST(ServiceLifecycle, StaticStoresTakePolicyKnobsOverServeConfig) {
+  // A static dataset has no store knobs of its own: even when config()
+  // hands over serve knobs that say Brute, its stores are built from
+  // policy()/leaf_size() — one sealed segment per non-empty shard — and
+  // stats().tree counts exactly the traversals the same shards' indexes
+  // would.
+  Rng rng(29);
+  const std::vector<PointD> points = make_points(200, 2, rng);
+  ServiceConfig config;
+  config.machines = 2;
+  config.ell = 3;
+  config.policy = ScoringPolicy::Tree;
+  config.leaf_size = 4;
+  config.serve.policy = ScoringPolicy::Brute;
+  KnnService service = KnnServiceBuilder().config(config).dataset(points).build();
+  const PointD query({0.0, 0.0});
+  (void)service.query(query);
+
+  Rng shard_rng(config.seed);
+  const auto indexes = make_shard_indexes(
+      make_vector_shards(points, config.machines, config.partition, shard_rng),
+      ScoringPolicy::Tree, config.leaf_size);
+  (void)score_vector_shards_batch(indexes, std::span<const PointD>(&query, 1), config.ell,
+                                  config.metric);
+  const TreeStats want = tree_stats(indexes);
+  const TreeStats got = service.stats().tree;
+  EXPECT_GT(got.queries, 0u);
+  EXPECT_EQ(got.queries, want.queries);
+  EXPECT_EQ(got.nodes_visited, want.nodes_visited);
+  EXPECT_EQ(got.points_scored, want.points_scored);
+  EXPECT_EQ(service.segment_count(), 2u);
+  EXPECT_EQ(service.compaction_debt(), 0u);
+  EXPECT_EQ(service.snapshot_epoch(), 0u);
 }
 
 TEST(ServiceLifecycle, LiveIdsAndContainsExposeResidentMembership) {
