@@ -35,6 +35,9 @@ int main(int argc, char** argv) {
 
   KnnConfig knn;
   knn.las_vegas = false;  // raw per-attempt behaviour
+  // The prune under test: the finish would skip it whenever every sample
+  // is a whole capped list (every ℓ <= 47, the first row).
+  knn.finish_on_full_sample = false;
 
   for (auto ell : ells) {
     for (auto k : ks) {

@@ -280,10 +280,12 @@ struct GlobalRunResult {
   std::vector<Key> keys;
   /// Engine cost report (rounds, messages, bits, compute).
   RunReport report;
-  /// Pivot / median / probe iterations of the algorithm's driver loop.
+  /// Pivot / median / probe iterations of the algorithm's driver loop (0
+  /// when Algorithm 2 ended at its finish, see dist_knn.hpp).
   std::uint32_t iterations = 0;
-  /// Algorithm 2 only: sampling attempts, post-prune candidate total,
-  /// whether pruning preserved the answer.
+  /// Algorithm 2 only: sampling attempts, post-prune candidate total (after
+  /// the finish: the keys at or below the final bound), whether pruning
+  /// preserved the answer.
   std::uint32_t attempts = 1;
   std::uint64_t candidates = 0;
   bool prune_ok = true;

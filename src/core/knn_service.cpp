@@ -1251,6 +1251,9 @@ KnnService KnnServiceBuilder::build() {
   }
 
   const std::size_t k = shards.size();
+  if (const char* error = knn_config_error(config_.knn, static_cast<std::uint32_t>(k))) {
+    throw ServiceStateError(error);
+  }
   std::vector<std::unordered_map<PointId, std::uint32_t>> labels(k);
   std::vector<std::unordered_map<PointId, double>> targets(k);
   state->has_labels = have_labels_;

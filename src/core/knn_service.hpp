@@ -46,7 +46,10 @@
 ///                               → NonFiniteCoordinateError
 ///   * ℓ = 0                     → InvalidEllError (at build())
 ///   * query before build, live-only calls on a static service, classify
-///     without labels            → ServiceStateError
+///     without labels, a KnnConfig whose leader is not a machine or whose
+///     sample/rank coefficient is negative or non-finite (at build(), with
+///     knn_config_error's text)
+///                               → ServiceStateError
 /// ℓ > n stays permissive — every path returns min(ℓ, n) keys, exactly
 /// like the free functions.
 ///
@@ -233,7 +236,8 @@ struct QueryResult {
   /// BatchQueryResult::report).  Empty on a cache hit — no protocol ran.
   RunReport report;
   /// Driver-loop iterations / Algorithm 2 sampling telemetry (see
-  /// GlobalRunResult).
+  /// GlobalRunResult; after Algorithm 2's finish, iterations = 0 and
+  /// candidates = the keys at or below the final bound).
   std::uint32_t iterations = 0;
   std::uint32_t attempts = 1;
   std::uint64_t candidates = 0;

@@ -17,10 +17,11 @@
 ///     (VectorIndex) instead of a full scan.
 ///
 /// Pipelining note: consecutive Algorithm 2 instances are crosstalk-free
-/// because every follower has at most one protocol message outstanding
-/// toward the leader (it cannot advance to query q+1 before receiving the
-/// leader's Finished for q), so per-sender FIFO delivery keeps instances
-/// separated; an integration test certifies this under chunked bandwidth.
+/// because a follower cannot start query q+1 before the leader's final
+/// `Radius` (the finish) or Algorithm 1's `Finished` for q, and the leader
+/// sends either only after consuming all of that follower's messages for q,
+/// so per-sender FIFO delivery keeps instances separated; an integration
+/// test certifies both endings under chunked bandwidth.
 
 #include <cstdint>
 #include <span>
@@ -53,7 +54,8 @@ struct SessionQueryResult {
   std::vector<Key> keys;          ///< the ℓ winners, ascending
   std::uint64_t rounds = 0;       ///< protocol rounds this query consumed
   std::uint32_t attempts = 1;     ///< Algorithm 2 sampling attempts
-  std::uint64_t candidates = 0;   ///< post-prune survivors
+  std::uint64_t candidates = 0;   ///< post-prune survivors (after the finish:
+                                  ///< keys at or below the final bound)
 };
 
 struct SessionResult {

@@ -41,14 +41,21 @@ TEST(Integration, ParallelExecutorMatchesSequentialOnDistKnn) {
   par_config.parallel = true;
   par_config.threads = 4;
 
-  const auto seq_result = run_knn(scored, 200, KnnAlgo::DistKnn, seq_config);
-  const auto par_result = run_knn(scored, 200, KnnAlgo::DistKnn, par_config);
-  EXPECT_EQ(seq_result.keys, par_result.keys);
-  EXPECT_EQ(seq_result.report.rounds, par_result.report.rounds);
-  EXPECT_EQ(seq_result.report.traffic.messages_sent(),
-            par_result.report.traffic.messages_sent());
-  EXPECT_EQ(seq_result.report.traffic.bits_sent(), par_result.report.traffic.bits_sent());
-  EXPECT_EQ(seq_result.iterations, par_result.iterations);
+  // ℓ = 16 ends at the finish (every sample a whole capped list), ℓ = 200
+  // runs the paper's prune and Algorithm 1.
+  for (std::uint64_t ell : {16u, 200u}) {
+    const auto seq_result = run_knn(scored, ell, KnnAlgo::DistKnn, seq_config);
+    const auto par_result = run_knn(scored, ell, KnnAlgo::DistKnn, par_config);
+    EXPECT_EQ(seq_result.keys, par_result.keys) << "ell " << ell;
+    EXPECT_EQ(seq_result.report.rounds, par_result.report.rounds) << "ell " << ell;
+    EXPECT_EQ(seq_result.report.traffic.messages_sent(),
+              par_result.report.traffic.messages_sent())
+        << "ell " << ell;
+    EXPECT_EQ(seq_result.report.traffic.bits_sent(), par_result.report.traffic.bits_sent())
+        << "ell " << ell;
+    EXPECT_EQ(seq_result.iterations, par_result.iterations) << "ell " << ell;
+    EXPECT_EQ(seq_result.candidates, par_result.candidates) << "ell " << ell;
+  }
 }
 
 // --- cost model: the Figure 2 mechanism ------------------------------------------------

@@ -1,12 +1,15 @@
 // Tests for core/dist_knn (the paper's Algorithm 2): equivalence with brute
 // force across metrics/dims/placements, Theorem 2.4 round bounds and
 // k-independence, Lemma 2.3 pruning behaviour, Las Vegas vs Monte Carlo
-// failure handling, and the paper's exact experimental setting.
+// failure handling, the finish's costs on both sides of ℓ = 47/48, config
+// rejection, and the paper's exact experimental setting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "data/generators.hpp"
 #include "data/metric.hpp"
 #include "data/partition.hpp"
+#include "data/validate.hpp"
 #include "rng/rng.hpp"
 #include "sim/engine.hpp"
 #include "support/stats.hpp"
@@ -193,14 +197,21 @@ TEST(KnnPruning, MonteCarloNeverRetries) {
   auto scored = score_scalar_shards(shards, 999);
   KnnConfig config;
   config.las_vegas = false;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const auto result = run_knn(scored, 128, KnnAlgo::DistKnn, engine_for(seed), config);
-    EXPECT_EQ(result.attempts, 1u);
-    if (result.prune_ok) {
-      EXPECT_EQ(result.keys, expected_smallest(scored, 128));
-    } else {
-      // The lossy answer is exactly the survivors (all of them).
-      EXPECT_LT(result.keys.size(), 128u);
+  // ℓ = 16 ends at the finish, which prunes nothing: its answer is whole.
+  for (std::uint64_t ell : {16u, 128u}) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      const auto result = run_knn(scored, ell, KnnAlgo::DistKnn, engine_for(seed), config);
+      EXPECT_EQ(result.attempts, 1u);
+      if (ell == 16) {
+        EXPECT_TRUE(result.prune_ok);
+        EXPECT_EQ(result.iterations, 0u);
+      }
+      if (result.prune_ok) {
+        EXPECT_EQ(result.keys, expected_smallest(scored, ell));
+      } else {
+        // The lossy answer is exactly the survivors (all of them).
+        EXPECT_LT(result.keys.size(), ell);
+      }
     }
   }
 }
@@ -227,9 +238,104 @@ TEST(KnnPruning, ZeroRetriesMeansNoPruning) {
   auto scored = score_scalar_shards(shards, 42);
   KnnConfig config;
   config.max_retries = 0;  // straight to the no-prune fallback
-  const auto result = run_knn(scored, 64, KnnAlgo::DistKnn, engine_for(2), config);
-  EXPECT_EQ(result.keys, expected_smallest(scored, 64));
-  EXPECT_EQ(result.candidates, std::min<std::uint64_t>(512, 4 * 64));
+  KnnConfig no_finish = config;
+  no_finish.finish_on_full_sample = false;
+  // The finish applies only to an attempt that prunes, so at ℓ = 16 too
+  // Algorithm 1 runs, and the report (KnnAlgo::CappedSelect's as well)
+  // does not depend on the finish setting.
+  for (std::uint64_t ell : {16u, 64u}) {
+    SCOPED_TRACE("ell=" + std::to_string(ell));
+    const auto result = run_knn(scored, ell, KnnAlgo::DistKnn, engine_for(2), config);
+    EXPECT_EQ(result.keys, expected_smallest(scored, ell));
+    EXPECT_EQ(result.candidates, std::min<std::uint64_t>(512, 4 * ell));
+    EXPECT_GT(result.iterations, 0u);
+    const auto off = run_knn(scored, ell, KnnAlgo::DistKnn, engine_for(2), no_finish);
+    const auto capped = run_knn(scored, ell, KnnAlgo::CappedSelect, engine_for(2));
+    for (const auto* other : {&off, &capped}) {
+      EXPECT_EQ(result.keys, other->keys);
+      EXPECT_EQ(result.report.rounds, other->report.rounds);
+      EXPECT_EQ(result.report.traffic.messages_sent(), other->report.traffic.messages_sent());
+      EXPECT_EQ(result.report.traffic.bits_sent(), other->report.traffic.bits_sent());
+      EXPECT_EQ(result.iterations, other->iterations);
+    }
+  }
+}
+
+// --- the finish: every sample a whole capped list ------------------------------------------
+
+/// Scalar shards of `per_machine` uniform points on each of `k` machines,
+/// scored against one random query.
+std::vector<std::vector<Key>> finish_fixture(std::uint32_t k, std::size_t per_machine,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  auto values = uniform_u64(per_machine * k, rng);
+  auto shards = make_scalar_shards(std::move(values), k, PartitionScheme::RoundRobin, rng);
+  return score_scalar_shards(shards, rng.between(0, (1ULL << 32) - 1));
+}
+
+KnnConfig paper_path() {
+  KnnConfig config;
+  config.finish_on_full_sample = false;
+  return config;
+}
+
+TEST(KnnFinish, CostsOnBothSidesOfTheBoundary) {
+  // ⌈12 ln 47⌉ = 47 and ⌈12 ln 48⌉ = 47: every sample of a capped list of
+  // min(ℓ, n_i) = ℓ keys is the whole list up to ℓ = 47, never from 48 on.
+  for (std::uint32_t k : {1u, 2u, 16u}) {
+    for (std::uint64_t ell : {4u, 16u, 32u, 47u, 48u, 64u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " ell=" + std::to_string(ell));
+      const auto scored = finish_fixture(k, 128, 90 + k * 7 + ell);
+      const auto engine = engine_for(ell + k);
+      const auto finish = run_knn(scored, ell, KnnAlgo::DistKnn, engine);
+      const auto paper = run_knn(scored, ell, KnnAlgo::DistKnn, engine, paper_path());
+      const auto expected = expected_smallest(scored, ell);
+      EXPECT_EQ(finish.keys, expected);
+      EXPECT_EQ(paper.keys, expected);
+      if (ell <= 47) {
+        EXPECT_EQ(finish.attempts, 1u);
+        EXPECT_EQ(finish.iterations, 0u);
+        EXPECT_EQ(finish.candidates, ell);
+        EXPECT_TRUE(finish.prune_ok);
+        if (k > 1) {
+          // Header + ℓ samples in, one final radius out, per follower.
+          EXPECT_EQ(finish.report.rounds, 3u);
+          EXPECT_EQ(finish.report.traffic.messages_sent(), (k - 1) * (ell + 2));
+          EXPECT_LT(finish.report.rounds, paper.report.rounds);
+          EXPECT_LT(finish.report.traffic.messages_sent(), paper.report.traffic.messages_sent());
+        } else {
+          EXPECT_EQ(finish.report.traffic.messages_sent(), 0u);
+        }
+      } else {
+        // No sample covers its list: the finish never fires and the two
+        // settings run the same protocol bit for bit.
+        EXPECT_EQ(finish.report.rounds, paper.report.rounds);
+        EXPECT_EQ(finish.report.traffic.messages_sent(), paper.report.traffic.messages_sent());
+        EXPECT_EQ(finish.report.traffic.bits_sent(), paper.report.traffic.bits_sent());
+        EXPECT_EQ(finish.iterations, paper.iterations);
+        EXPECT_EQ(finish.attempts, paper.attempts);
+        EXPECT_EQ(finish.candidates, paper.candidates);
+      }
+    }
+  }
+}
+
+TEST(KnnFinish, ShardsSmallerThanEllFinishAboveTheBoundary) {
+  // n = 64 over k = 16: each capped list holds 4 keys, well under the 50
+  // samples ℓ = 64 asks for, so the leader again holds every list.
+  constexpr std::uint32_t k = 16;
+  constexpr std::uint64_t ell = 64;
+  const auto scored = finish_fixture(k, 4, 91);
+  const auto finish = run_knn(scored, ell, KnnAlgo::DistKnn, engine_for(7));
+  const auto paper = run_knn(scored, ell, KnnAlgo::DistKnn, engine_for(7), paper_path());
+  EXPECT_EQ(finish.keys, expected_smallest(scored, ell));
+  EXPECT_EQ(paper.keys, finish.keys);
+  EXPECT_EQ(finish.keys.size(), 64u);
+  EXPECT_EQ(finish.candidates, 64u);
+  EXPECT_EQ(finish.iterations, 0u);
+  EXPECT_EQ(finish.report.rounds, 3u);
+  EXPECT_EQ(finish.report.traffic.messages_sent(), (k - 1) * (4 + 2));
+  EXPECT_LT(finish.report.rounds, paper.report.rounds);
 }
 
 // --- sample-count formulas -----------------------------------------------------------------
@@ -245,6 +351,80 @@ TEST(KnnFormulas, SampleAndRankCounts) {
             static_cast<std::uint64_t>(std::ceil(21.0 * std::log(1024.0))));
   EXPECT_GE(knn_sample_count(1, config), 1u);
   EXPECT_GE(knn_radius_rank(1, config), 1u);
+}
+
+TEST(KnnFormulas, BadCoefficientsAreRejectedHugeOnesSaturate) {
+  const std::string sample_text = "dknn: KnnConfig::sample_coeff must be finite and >= 0";
+  const std::string rank_text = "dknn: KnnConfig::rank_coeff must be finite and >= 0";
+  for (double bad : {-12.0, -1e-9, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    KnnConfig sample_bad;
+    sample_bad.sample_coeff = bad;
+    KnnConfig rank_bad;
+    rank_bad.rank_coeff = bad;
+    EXPECT_EQ(std::string(knn_config_error(sample_bad, 4)), sample_text);
+    EXPECT_EQ(std::string(knn_config_error(rank_bad, 4)), rank_text);
+    try {
+      (void)knn_sample_count(16, sample_bad);
+      FAIL() << "expected PreconditionError";
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(std::string(e.what()), sample_text);
+    }
+    try {
+      (void)knn_radius_rank(16, rank_bad);
+      FAIL() << "expected PreconditionError";
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(std::string(e.what()), rank_text);
+    }
+  }
+  KnnConfig leader_bad;
+  leader_bad.leader = 9;
+  EXPECT_EQ(std::string(knn_config_error(leader_bad, 4)),
+            "dknn: KnnConfig::leader must be less than the machine count");
+  KnnConfig zero;  // both coefficients 0 are legal: the counts clamp to 1
+  zero.sample_coeff = 0.0;
+  zero.rank_coeff = 0.0;
+  zero.leader = 3;
+  EXPECT_EQ(knn_config_error(zero, 4), nullptr);
+  EXPECT_EQ(knn_sample_count(16, zero), 1u);
+  EXPECT_EQ(knn_radius_rank(16, zero), 1u);
+
+  // A huge finite coefficient saturates at 2^63 instead of overflowing the
+  // cast, and the protocol clamps it to the list (sample) or pool (rank).
+  KnnConfig huge;
+  huge.sample_coeff = 1e300;
+  huge.rank_coeff = std::numeric_limits<double>::max();
+  EXPECT_EQ(knn_sample_count(16, huge), std::uint64_t{1} << 63);
+  EXPECT_EQ(knn_radius_rank(1 << 20, huge), std::uint64_t{1} << 63);
+  const auto scored = finish_fixture(4, 128, 94);
+  for (bool finish : {true, false}) {
+    KnnConfig config = huge;
+    config.finish_on_full_sample = finish;
+    EXPECT_EQ(run_knn(scored, 64, KnnAlgo::DistKnn, engine_for(4), config).keys,
+              expected_smallest(scored, 64));
+  }
+}
+
+TEST(KnnFormulas, RunKnnRejectsBadConfigs) {
+  // Checked up front on every path, the finish (which never reads the
+  // rank) and CappedSelect included.
+  const auto scored = finish_fixture(4, 32, 95);
+  KnnConfig leader_bad;
+  leader_bad.leader = 9;
+  KnnConfig sample_bad;
+  sample_bad.sample_coeff = -12.0;
+  KnnConfig rank_bad;
+  rank_bad.rank_coeff = std::nan("");
+  for (KnnAlgo algo : {KnnAlgo::DistKnn, KnnAlgo::CappedSelect}) {
+    for (const KnnConfig* bad : {&leader_bad, &sample_bad, &rank_bad}) {
+      try {
+        (void)run_knn(scored, 8, algo, engine_for(1), *bad);
+        FAIL() << "expected PreconditionError";
+      } catch (const PreconditionError& e) {
+        EXPECT_EQ(std::string(e.what()), knn_config_error(*bad, 4));
+      }
+    }
+  }
 }
 
 // --- edge cases ------------------------------------------------------------------------------
@@ -329,7 +509,8 @@ TEST(KnnEdge, ChunkedBandwidthCertification) {
   // rounds (which is exactly why Theorem 2.4 still holds).  Verify the
   // protocol is correct under that queuing, that no single message exceeds
   // O(log n) bits, and that delivery latency stayed bounded by the sample
-  // count.
+  // count.  At ℓ = 16 the samples are whole capped lists: the finish must
+  // save rounds under that queuing too, not only on unlimited links.
   Rng rng(85);
   auto values = uniform_u64(512, rng);
   auto shards = make_scalar_shards(std::move(values), 8, PartitionScheme::RoundRobin, rng);
@@ -337,11 +518,21 @@ TEST(KnnEdge, ChunkedBandwidthCertification) {
   auto config = engine_for(6);
   config.bandwidth = BandwidthPolicy::Chunked;
   config.bits_per_round = 512;
-  const auto result = run_knn(scored, 64, KnnAlgo::DistKnn, config);
-  EXPECT_EQ(result.keys, expected_smallest(scored, 64));
-  EXPECT_LE(result.report.traffic.max_message_bits(), 512u);
-  const std::uint64_t samples = knn_sample_count(64, KnnConfig{});
-  EXPECT_LE(result.report.traffic.max_delivery_latency(), samples + 4);
+  for (std::uint64_t ell : {16u, 64u}) {
+    SCOPED_TRACE("ell=" + std::to_string(ell));
+    const auto result = run_knn(scored, ell, KnnAlgo::DistKnn, config);
+    EXPECT_EQ(result.keys, expected_smallest(scored, ell));
+    EXPECT_LE(result.report.traffic.max_message_bits(), 512u);
+    const std::uint64_t samples = knn_sample_count(ell, KnnConfig{});
+    EXPECT_LE(result.report.traffic.max_delivery_latency(), samples + 4);
+    const auto paper = run_knn(scored, ell, KnnAlgo::DistKnn, config, paper_path());
+    EXPECT_EQ(paper.keys, result.keys);
+    if (ell == 16) {
+      EXPECT_LT(result.report.rounds, paper.report.rounds);
+    } else {
+      EXPECT_EQ(result.report.rounds, paper.report.rounds);
+    }
+  }
 }
 
 }  // namespace

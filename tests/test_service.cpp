@@ -330,6 +330,56 @@ TEST(ServiceErrors, InsertDuplicateIdAndBuilderMisuse) {
   EXPECT_THROW((void)KnnServiceBuilder().machines(0).dataset({}).build(), ServiceStateError);
 }
 
+TEST(ServiceErrors, BadKnnConfigRejectedAtBuild) {
+  // Algorithm 2's knobs are checked once, at build(), instead of every
+  // query throwing from inside the protocol (or a coefficient reaching an
+  // out-of-range double → integer cast).
+  Rng rng(6);
+  const auto points = make_points(40, 2, rng);
+  auto build_with = [&](const KnnConfig& knn) {
+    return KnnServiceBuilder().machines(4).ell(3).knn(knn).dataset(points).build();
+  };
+  auto expect_rejected = [&](const KnnConfig& knn, const std::string& text) {
+    try {
+      (void)build_with(knn);
+      FAIL() << "expected ServiceStateError: " << text;
+    } catch (const ServiceStateError& e) {
+      EXPECT_EQ(std::string(e.what()), text);
+    }
+  };
+  const std::string leader_text = "dknn: KnnConfig::leader must be less than the machine count";
+  const std::string sample_text = "dknn: KnnConfig::sample_coeff must be finite and >= 0";
+  const std::string rank_text = "dknn: KnnConfig::rank_coeff must be finite and >= 0";
+  expect_rejected(KnnConfig{.leader = 9}, leader_text);
+  expect_rejected(KnnConfig{.leader = 4}, leader_text);
+  for (double bad : {-12.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    expect_rejected(KnnConfig{.sample_coeff = bad}, sample_text);
+    expect_rejected(KnnConfig{.rank_coeff = bad}, rank_text);
+  }
+  // The machine count of a pre-sharded dataset is its shard count.
+  try {
+    std::vector<VectorShard> shards(2);
+    (void)KnnServiceBuilder().ell(3).knn(KnnConfig{.leader = 2}).dataset_sharded(shards).build();
+    FAIL() << "expected ServiceStateError";
+  } catch (const ServiceStateError& e) {
+    EXPECT_EQ(std::string(e.what()), leader_text);
+  }
+
+  // The last machine may lead, and zero coefficients are legal (the counts
+  // clamp to 1; KnnPruning.AggressiveRankForcesRetry… runs rank_coeff = 0).
+  for (bool finish : {true, false}) {
+    KnnService ok = build_with(KnnConfig{.leader = 3,
+                                         .sample_coeff = 0.0,
+                                         .rank_coeff = 0.0,
+                                         .finish_on_full_sample = finish});
+    const QueryResult result = ok.query(points[5]);
+    ASSERT_EQ(result.keys.size(), 3u);
+    EXPECT_EQ(result.keys.front().rank, 0u);  // the query is a dataset point
+  }
+}
+
 // --- lifecycle behavior ------------------------------------------------------
 
 TEST(ServiceLifecycle, EmptyStaticDatasetAnswersEmpty) {

@@ -76,17 +76,22 @@ INSTANTIATE_TEST_SUITE_P(Protocols, SessionElectionSweep,
 
 TEST(Session, PipeliningSafeUnderChunkedBandwidth) {
   // Straggling messages from query q must never leak into query q+1 even
-  // when every transfer spans multiple rounds.
+  // when every transfer spans multiple rounds.  ℓ <= 47 ends each query
+  // with the leader's final radius (the finish), ℓ = 48 with Algorithm 1's
+  // Finished; both message sequences must pipeline.
   constexpr std::uint32_t k = 6;
   const auto shards = shard_fixture(1200, k, 7);
   const auto queries = query_fixture(8, 8);
   auto config = engine_for(9);
   config.bandwidth = BandwidthPolicy::Chunked;
   config.bits_per_round = 128;
-  const auto session = run_scalar_session(shards, queries, 48, config);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto scored = score_scalar_shards(shards, queries[q]);
-    EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, 48)) << "query " << q;
+  for (std::uint64_t ell : {16u, 47u, 48u}) {
+    const auto session = run_scalar_session(shards, queries, ell, config);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto scored = score_scalar_shards(shards, queries[q]);
+      EXPECT_EQ(session.queries[q].keys, expected_smallest(scored, ell))
+          << "ell " << ell << " query " << q;
+    }
   }
 }
 
