@@ -16,7 +16,9 @@
 // parallel batch path (threads recorded in the workload stanza — the
 // parallel-vs-serial ratio only means something at 4+ hardware threads),
 // and the kd-tree/FlatStore hybrid, then the fused batch path at one
-// offline shard's shape (8,000 points, d=64, ℓ=32, 64-query block), and
+// offline shard's shape (8,000 points, d=64, ℓ=32, 64-query block), then
+// single queries over the online workload's machines (16 Auto segments of
+// 4,096 rows, d=8, ℓ=16) with 0, 64 and 512 tombstones per segment, and
 // writes the medians to PATH — the machine-readable perf trajectory
 // (BENCH_kernels.json) the ROADMAP tracks.  Without the flag it is a
 // plain google-benchmark binary.
@@ -26,6 +28,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -46,6 +49,7 @@
 #include "seq/kdtree.hpp"
 #include "seq/select.hpp"
 #include "serial/codec.hpp"
+#include "serve/segment_store.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -435,6 +439,91 @@ void write_path(std::FILE* f, const PathRow& row, bool trailing_comma) {
   }
 }
 
+constexpr std::size_t kSegments = 16;
+constexpr std::size_t kSegmentRows = 4096;
+constexpr std::size_t kSegmentDim = 8;
+constexpr std::size_t kSegmentEll = 16;
+constexpr std::size_t kSegmentQueries = 64;
+
+struct TombstonedRow {
+  std::size_t tombstones = 0;  ///< per segment
+  PathTiming timing;           ///< the whole query set over every segment
+  double tree_share = 0.0;     ///< segment queries that ran the kd-hybrid
+};
+
+struct TombstonedSegments {
+  std::vector<TombstonedRow> rows;
+  bool keys_match = true;  ///< every answer equals a clean rebuilt store's
+};
+
+/// Scores single queries against kSegments stores of one sealed Auto
+/// segment each (the online workload's machine shape), erasing random rows
+/// between rows of the stanza.  Tombstones mask dead rows out of the
+/// heaps, so each dirty segment keeps the kd-hybrid; every answer is
+/// checked against a clean store rebuilt from the segment's live rows.
+TombstonedSegments time_tombstoned_segments(std::size_t repeats) {
+  constexpr std::size_t kTombstoneCounts[] = {0, 64, 512};
+  Rng rng(12);
+  const ServeConfig config{.policy = ScoringPolicy::Auto};
+  std::vector<std::unique_ptr<SegmentStore>> stores;
+  std::vector<std::vector<PointD>> points;
+  std::vector<std::vector<PointId>> ids;
+  for (std::size_t s = 0; s < kSegments; ++s) {
+    points.push_back(uniform_points(kSegmentRows, kSegmentDim, 2.0, rng));
+    ids.emplace_back();
+    for (std::size_t i = 0; i < kSegmentRows; ++i) ids.back().push_back(1 + s * kSegmentRows + i);
+    stores.push_back(std::make_unique<SegmentStore>(kSegmentDim, points[s], ids[s], config));
+  }
+  const auto queries = uniform_points(kSegmentQueries, kSegmentDim, 2.0, rng);
+
+  TombstonedSegments result;
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> out;
+  for (const std::size_t tombstones : kTombstoneCounts) {
+    std::vector<SnapshotPtr> snapshots;
+    for (std::size_t s = 0; s < kSegments; ++s) {
+      // Swap-remove random rows until the segment holds `tombstones` dead.
+      while (points[s].size() > kSegmentRows - tombstones) {
+        const std::size_t victim = rng.below(points[s].size());
+        (void)stores[s]->erase(ids[s][victim]);
+        points[s][victim] = points[s].back();
+        ids[s][victim] = ids[s].back();
+        points[s].pop_back();
+        ids[s].pop_back();
+      }
+      snapshots.push_back(stores[s]->snapshot());
+      stores[s]->reset_tree_stats();
+    }
+    TombstonedRow row;
+    row.tombstones = tombstones;
+    row.timing = time_path(repeats, kSegments * kSegmentRows, kSegmentQueries, [&] {
+      for (const PointD& query : queries) {
+        for (const SnapshotPtr& snapshot : snapshots) {
+          snapshot_top_ell_batch(*snapshot, std::span<const PointD>(&query, 1), kSegmentEll,
+                                 MetricKind::SquaredEuclidean, out, scratch);
+          benchmark::DoNotOptimize(out);
+        }
+      }
+    });
+    std::uint64_t tree_queries = 0;
+    for (const auto& store : stores) tree_queries += store->tree_stats().queries;
+    row.tree_share = static_cast<double>(tree_queries) /
+                     static_cast<double>(repeats * kSegments * kSegmentQueries);
+    for (std::size_t s = 0; s < kSegments; ++s) {
+      const SegmentStore rebuilt(kSegmentDim, points[s], ids[s], config);
+      for (const PointD& query : queries) {
+        result.keys_match =
+            result.keys_match &&
+            snapshot_top_ell(*snapshots[s], query, kSegmentEll, MetricKind::SquaredEuclidean) ==
+                snapshot_top_ell(*rebuilt.snapshot(), query, kSegmentEll,
+                                 MetricKind::SquaredEuclidean);
+      }
+    }
+    result.rows.push_back(row);
+  }
+  return result;
+}
+
 /// The canonical serving workload the ROADMAP's perf trajectory tracks.
 int emit_bench_json(const std::string& path) {
   constexpr std::size_t kPoints = 100000;
@@ -556,6 +645,16 @@ int emit_bench_json(const std::string& path) {
     benchmark::DoNotOptimize(out);
   });
 
+  // Tombstoned-segment rows: one query's local top-ℓ over every machine
+  // of perfbench's online_churn_k16_d8 (16 machines, each holding one
+  // 4,096-row d = 8 Auto segment, which builds a kd-tree; ℓ = 16; single
+  // queries) with 0, 64 and 512 tombstones per segment.
+  const TombstonedSegments tombstoned = time_tombstoned_segments(kRepeats);
+  if (!tombstoned.keys_match) {
+    std::fprintf(stderr, "tombstoned_segment: keys differ from the rebuilt clean stores\n");
+    return 1;
+  }
+
   std::vector<PathRow> rows;
   rows.emplace_back("aos_per_query", aos);
   rows.emplace_back("soa_materialized", soa_mat);
@@ -588,6 +687,21 @@ int emit_bench_json(const std::string& path) {
                "{\"median_ms\": %.3f, \"ns_per_point\": %.3f, \"queries_per_sec\": %.1f}},\n",
                kShardPoints, kShardDim, kShardEll, kShardQueries, shard.median_ms,
                shard.ns_per_point, shard.queries_per_sec);
+  std::fprintf(f,
+               "  \"tombstoned_segment\": {\"segments\": %zu, \"rows\": %zu, \"dim\": %zu, "
+               "\"ell\": %zu, \"queries\": %zu, \"metric\": \"squared-euclidean\", "
+               "\"policy\": \"auto\", \"keys_match_rebuilt\": true, \"tombstones\": {\n",
+               kSegments, kSegmentRows, kSegmentDim, kSegmentEll, kSegmentQueries);
+  for (std::size_t i = 0; i < tombstoned.rows.size(); ++i) {
+    const TombstonedRow& row = tombstoned.rows[i];
+    std::fprintf(f,
+                 "    \"%zu\": {\"us_per_query\": %.1f, \"ns_per_row\": %.3f, "
+                 "\"tree_share\": %.3f}%s\n",
+                 row.tombstones, row.timing.median_ms * 1e3 / kSegmentQueries,
+                 row.timing.ns_per_point, row.tree_share,
+                 i + 1 < tombstoned.rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  }},\n");
   std::fprintf(f, "  \"speedup_fused_vs_aos\": %.2f,\n", aos.median_ms / fused.median_ms);
   if (scalar_forced_ms.has_value()) {
     std::fprintf(f, "  \"speedup_simd_vs_scalar\": %.2f,\n", *scalar_forced_ms / fused.median_ms);
@@ -622,7 +736,12 @@ int emit_bench_json(const std::string& path) {
   }
   std::printf(", hybrid/brute %.2fx", fused.median_ms / hybrid.median_ms);
   std::printf(", facade %.2f ms (%.2fx fused)", facade.median_ms, facade.median_ms / fused.median_ms);
-  std::printf("; offline shard d=%zu %.2f ms)\n", kShardDim, shard.median_ms);
+  std::printf("; offline shard d=%zu %.2f ms", kShardDim, shard.median_ms);
+  for (const TombstonedRow& row : tombstoned.rows) {
+    std::printf("; %zu tombstones/segment %.1f us/query (tree share %.3f)", row.tombstones,
+                row.timing.median_ms * 1e3 / kSegmentQueries, row.tree_share);
+  }
+  std::printf(")\n");
   return 0;
 }
 

@@ -78,15 +78,15 @@ Task<void> knn_program(Ctx& ctx, const std::vector<std::vector<Key>>* shards, st
 /// Batched program: one engine run drives every query through the
 /// algorithm back to back; per-sender FIFO delivery keeps consecutive
 /// instances separated (see session.hpp's pipelining note).
+/// `finished[q][m]` records the round in which machine m finished query q.
 Task<void> knn_batch_program(Ctx& ctx, const std::vector<std::vector<std::vector<Key>>>* batch,
                              std::uint64_t ell, KnnAlgo algo, KnnConfig knn_config,
                              std::vector<std::vector<Slot>>* slots,
-                             std::vector<std::vector<std::uint64_t>>* rounds) {
+                             std::vector<std::vector<std::uint64_t>>* finished) {
   for (std::size_t q = 0; q < batch->size(); ++q) {
-    const std::uint64_t before = ctx.current_round();
     co_await knn_step(ctx, (*batch)[q][ctx.id()], ell, algo, knn_config,
                       (*slots)[q][ctx.id()]);
-    (*rounds)[q][ctx.id()] = ctx.current_round() - before;
+    (*finished)[q][ctx.id()] = ctx.current_round();
   }
 }
 
@@ -362,8 +362,7 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
 }
 
 /// Row-range subtile of a split machine: the same bounded-heap kernels the
-/// kd-hybrid and the serve live-run path use, over rows [lo, hi) of the
-/// SoA store.
+/// kd-hybrid uses, over rows [lo, hi) of the SoA store.
 void score_rows(const FlatStore& store, std::size_t lo, std::size_t hi,
                 std::span<const PointD> block, std::uint64_t ell, MetricKind kind,
                 std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
@@ -512,17 +511,23 @@ BatchRunResult run_knn_batch(const std::vector<std::vector<std::vector<Key>>>& s
   config.world_size = static_cast<std::uint32_t>(world);
   Engine engine(config);
   std::vector<std::vector<Slot>> slots(scored_batch.size(), std::vector<Slot>(world));
-  std::vector<std::vector<std::uint64_t>> rounds(scored_batch.size(),
-                                                 std::vector<std::uint64_t>(world, 0));
+  std::vector<std::vector<std::uint64_t>> finished(scored_batch.size(),
+                                                   std::vector<std::uint64_t>(world, 0));
   RunReport report = engine.run([&](Ctx& ctx) {
-    return knn_batch_program(ctx, &scored_batch, ell, algo, knn_config, &slots, &rounds);
+    return knn_batch_program(ctx, &scored_batch, ell, algo, knn_config, &slots, &finished);
   });
 
   BatchRunResult result;
   result.per_query.reserve(scored_batch.size());
+  // Query q owns the rounds after the last machine finished query q − 1,
+  // up to the last round any machine spent on q: F(q) − F(q − 1) with
+  // F(−1) = −1, where F(q) is the latest round any machine finished q.
+  std::uint64_t after_previous = 0;  // F(q − 1) + 1
   for (std::size_t q = 0; q < scored_batch.size(); ++q) {
     GlobalRunResult one = merge_slots(std::move(slots[q]), RunReport{}, knn_config.leader);
-    one.report.rounds = rounds[q][knn_config.leader];
+    const std::uint64_t through = *std::max_element(finished[q].begin(), finished[q].end()) + 1;
+    one.report.rounds = through - after_previous;
+    after_previous = through;
     result.per_query.push_back(std::move(one));
   }
   result.report = std::move(report);

@@ -303,7 +303,11 @@ struct BatchRunResult {
   /// Per-query results in query order.  Each element's `keys`,
   /// `iterations`, `attempts`, `candidates`, `prune_ok` are as run_knn
   /// would return for that query alone; its `report` carries only that
-  /// query's round count (traffic/compute are whole-batch, below).
+  /// query's round count (traffic/compute are whole-batch, below): the
+  /// rounds from the one after the last machine finished the previous
+  /// query through the last round any machine spent on this one.  Query 0
+  /// (and a one-query batch) thus counts what run_knn counts for it alone,
+  /// and the counts sum to at most `report.rounds`.
   std::vector<GlobalRunResult> per_query;
   /// Whole-batch engine report: one engine, B queries — setup, scheduling
   /// and warm-up amortize across the batch.

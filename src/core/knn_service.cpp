@@ -900,9 +900,7 @@ std::vector<PointId> KnnService::live_ids() const {
     const SnapshotPtr snapshot = store->snapshot();
     for (const SegmentView& segment : snapshot->segments) {
       const std::span<const PointId> rows = segment.data->store().ids();
-      for (const auto& [lo, hi] : *segment.live_runs) {
-        ids.insert(ids.end(), rows.begin() + lo, rows.begin() + hi);
-      }
+      segment.for_each_live_row([&](std::size_t row) { ids.push_back(rows[row]); });
     }
   }
   std::sort(ids.begin(), ids.end());

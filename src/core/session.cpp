@@ -17,15 +17,23 @@ SessionResult assemble_session(std::vector<SessionSlot> slots, RunReport report,
   }
   result.election_rounds = slots[result.leader].election_rounds;
   result.queries.resize(num_queries);
+  // Query q's rounds are F(q) − F(q − 1), where F(q) is the latest round
+  // any machine finished q and F(−1) the election's last round (the
+  // program starts at round 0, so that is the largest election count).
+  std::uint64_t previous = 0;
+  for (const auto& slot : slots) previous = std::max(previous, slot.election_rounds);
   for (std::size_t q = 0; q < num_queries; ++q) {
     auto& out = result.queries[q];
     out.index = q;
+    std::uint64_t finished = 0;
     for (const auto& slot : slots) {
       out.keys.insert(out.keys.end(), slot.selected[q].begin(), slot.selected[q].end());
+      finished = std::max(finished, slot.finished[q]);
     }
     std::sort(out.keys.begin(), out.keys.end());
     const auto& lead = slots[result.leader];
-    out.rounds = lead.rounds[q];
+    out.rounds = finished - previous;
+    previous = finished;
     out.attempts = lead.attempts[q];
     out.candidates = lead.candidates[q];
   }

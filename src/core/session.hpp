@@ -52,7 +52,9 @@ struct SessionQueryResult {
   std::size_t index = 0;          ///< position in the query stream
   Value query = 0;                ///< scalar sessions only; 0 otherwise
   std::vector<Key> keys;          ///< the ℓ winners, ascending
-  std::uint64_t rounds = 0;       ///< protocol rounds this query consumed
+  std::uint64_t rounds = 0;       ///< rounds from the previous query's (or the
+                                  ///< election's) last round on any machine
+                                  ///< to this query's
   std::uint32_t attempts = 1;     ///< Algorithm 2 sampling attempts
   std::uint64_t candidates = 0;   ///< post-prune survivors (after the finish:
                                   ///< keys at or below the final bound)
@@ -72,7 +74,7 @@ struct SessionSlot {
   MachineId leader = kNoMachine;
   std::uint64_t election_rounds = 0;
   std::vector<std::vector<Key>> selected;  ///< per query, this machine's winners
-  std::vector<std::uint64_t> rounds;       ///< per query (as seen locally)
+  std::vector<std::uint64_t> finished;     ///< per query, the round this machine finished it
   std::vector<std::uint32_t> attempts;
   std::vector<std::uint64_t> candidates;
 };
@@ -107,11 +109,10 @@ Task<void> session_program(Ctx& ctx, Scorer scorer, std::size_t num_queries, std
   // --- per query: local scoring (free in the model) + Algorithm 2 -------------
   slot.selected.reserve(num_queries);
   for (std::size_t qi = 0; qi < num_queries; ++qi) {
-    const std::uint64_t before = ctx.current_round();
     std::vector<Key> scored = scorer(ctx.id(), qi);
     KnnLocal local = co_await dist_knn(ctx, std::move(scored), ell, knn);
     slot.selected.push_back(std::move(local.selected));
-    slot.rounds.push_back(ctx.current_round() - before);
+    slot.finished.push_back(ctx.current_round());
     slot.attempts.push_back(local.attempts);
     slot.candidates.push_back(local.candidates);
   }

@@ -49,7 +49,7 @@ struct ColumnPointers {
 };
 
 void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
-                std::span<const PointD> queries, std::size_t cap,
+                std::span<const PointD> queries, std::size_t cap, const std::uint8_t* dead,
                 std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
   const std::size_t n = store.size();
   const std::size_t d = store.dim();
@@ -76,7 +76,7 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
         const std::size_t q = q0 + b;
         HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
         ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data() + b * kTile,
-                        ids + t0, m);
+                        ids + t0, dead == nullptr ? nullptr : dead + t0, m);
         scratch.heap_sizes[q] = heap.size;
       }
     }
@@ -163,7 +163,8 @@ double metric_distance(MetricKind kind, const PointD& a, const PointD& b) {
 
 void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
                          std::size_t ell, MetricKind kind,
-                         std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+                         std::vector<std::vector<Key>>& out, KernelScratch& scratch,
+                         const std::uint8_t* dead) {
   require_known_kind(kind, "fused_top_ell_batch");
   out.resize(queries.size());
   // An empty store has no knowable dimension (mirrors the AoS path, which
@@ -177,13 +178,13 @@ void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries
     return;
   }
   const std::size_t cap = std::min(ell, store.size());
-  batch_impl(simd::kernel_ops(), kind, store, queries, cap, out, scratch);
+  batch_impl(simd::kernel_ops(), kind, store, queries, cap, dead, out, scratch);
 }
 
 RangeTopEll::RangeTopEll(const FlatStore& store, const PointD& query, std::size_t ell,
-                         MetricKind kind, KernelScratch& scratch)
+                         MetricKind kind, KernelScratch& scratch, const std::uint8_t* dead)
     : store_(store), query_(query), kind_(kind), ops_(&simd::kernel_ops()),
-      scratch_(scratch), threshold_(std::numeric_limits<double>::infinity()) {
+      scratch_(scratch), dead_(dead), threshold_(std::numeric_limits<double>::infinity()) {
   require_known_kind(kind, "RangeTopEll");
   if (!store.empty()) {
     require_query_dim(store.dim(), query.dim());
@@ -209,7 +210,8 @@ void RangeTopEll::score_range(std::size_t lo, std::size_t hi) {
     const std::size_t m = std::min(kTile, hi - t0);
     ops_->tile_scores(kind_, scratch_.cols.data(), &coords, 1, store_.dim(), t0, m,
                       scratch_.dist.data(), kTile);
-    ops_->heap_update(kind_, heap, threshold_, scratch_.dist.data(), ids + t0, m);
+    ops_->heap_update(kind_, heap, threshold_, scratch_.dist.data(), ids + t0,
+                      dead_ == nullptr ? nullptr : dead_ + t0, m);
   }
   heap_size_ = heap.size;
 }

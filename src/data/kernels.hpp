@@ -63,13 +63,18 @@ struct KernelScratch {
 
 /// Scores every point of `store` against every query in `queries`, fused
 /// with bounded top-ℓ selection.  `out` is resized to queries.size();
-/// out[q] holds query q's min(ℓ, n) best keys ascending, ranks
+/// out[q] holds query q's min(ℓ, live) best keys ascending, ranks
 /// encode_distance-encoded.  Each point tile is scored one query block
 /// (simd::kQueryBlock queries) at a time; a query's result does not depend
-/// on which other queries share its call.
+/// on which other queries share its call.  `dead`, when non-null, is a
+/// tombstone byte map aligned with the store's rows (1 = deleted, 0 =
+/// live; at least store.size() bytes): dead rows are scored with their
+/// tile but never enter a heap, so the keys are byte-identical to a store
+/// rebuilt from the live rows alone.
 void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
                          std::size_t ell, MetricKind kind,
-                         std::vector<std::vector<Key>>& out, KernelScratch& scratch);
+                         std::vector<std::vector<Key>>& out, KernelScratch& scratch,
+                         const std::uint8_t* dead = nullptr);
 
 /// Single-query convenience over fused_top_ell_batch.
 [[nodiscard]] std::vector<Key> fused_top_ell(const FlatStore& store, const PointD& query,
@@ -87,12 +92,13 @@ void score_store(const FlatStore& store, const PointD& query, MetricKind kind,
 /// lazy-sqrt machinery of fused_top_ell_batch, so scoring *any*
 /// decomposition of [0, n) into ranges, in any order, finishes with
 /// byte-identical keys; skipping a range is sound whenever every point in
-/// it provably scores above threshold().
+/// it provably scores above threshold().  Rows flagged in the optional
+/// `dead` map (as in fused_top_ell_batch) never enter the heap.
 class RangeTopEll {
  public:
-  /// Borrows `store`, `query` and `scratch` for its lifetime.
+  /// Borrows `store`, `query`, `scratch` and `dead` for its lifetime.
   RangeTopEll(const FlatStore& store, const PointD& query, std::size_t ell, MetricKind kind,
-              KernelScratch& scratch);
+              KernelScratch& scratch, const std::uint8_t* dead = nullptr);
 
   /// Scores points [lo, hi); requires lo <= hi <= store.size().
   void score_range(std::size_t lo, std::size_t hi);
@@ -114,6 +120,7 @@ class RangeTopEll {
   const simd::KernelOps* ops_ = nullptr;  ///< ISA resolved once at construction
   std::size_t cap_ = 0;       ///< min(ℓ, n); 0 disables scoring entirely
   KernelScratch& scratch_;    ///< dist tile, heap and column-pointer storage
+  const std::uint8_t* dead_ = nullptr;  ///< tombstone map aligned with store_ rows, or null
   std::size_t heap_size_ = 0;
   double threshold_ = 0.0;
 };

@@ -78,9 +78,13 @@ struct KernelOps {
   /// heap-top-derived).  For Euclidean, sqrt is applied only to candidates
   /// that survive the threshold prefilter; selection compares exact sqrt
   /// values, so parity with the AoS path is bit-exact.  `raw` obeys the
-  /// kTilePad contract; `ids[0..m)` are the tile's point ids.
+  /// kTilePad contract; `ids[0..m)` are the tile's point ids.  `dead` is
+  /// the tile's tombstone byte map aligned with `ids` (null = every row
+  /// live; each of dead[0..m) is 0 or 1, and nothing past m is read): a
+  /// row flagged 1 never reaches the heap on any ISA, so the heap holds
+  /// exactly what scoring the live rows alone would leave in it.
   void (*heap_update)(MetricKind kind, HeapState& heap, double& threshold, const double* raw,
-                      const std::uint64_t* ids, std::size_t m);
+                      const std::uint64_t* ids, const std::uint8_t* dead, std::size_t m);
 
   /// In-place sqrt over dist[0, m) — the materializing score_store's
   /// Euclidean epilogue, where *every* rank must land in the metric's

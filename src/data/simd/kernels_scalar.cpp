@@ -125,9 +125,10 @@ struct BoundedHeap {
 /// the exact sqrt values, so parity with the AoS path is bit-exact.
 template <MetricKind K>
 void heap_update_k(HeapState& state, double& threshold, const double* raw,
-                   const std::uint64_t* ids, std::size_t m) {
+                   const std::uint64_t* ids, const std::uint8_t* dead, std::size_t m) {
   BoundedHeap heap{state};
   for (std::size_t i = 0; i < m; ++i) {
+    if (dead != nullptr && dead[i] != 0) continue;
     const double s = raw[i];
     if (heap.full() && s > threshold) continue;  // common case: one compare
     if constexpr (K == MetricKind::Euclidean) {
@@ -177,16 +178,16 @@ void tile_scores_entry(MetricKind kind, const double* const* cols, const double*
 }
 
 void heap_update_entry(MetricKind kind, HeapState& heap, double& threshold, const double* raw,
-                       const std::uint64_t* ids, std::size_t m) {
+                       const std::uint64_t* ids, const std::uint8_t* dead, std::size_t m) {
   switch (kind) {
     case MetricKind::Euclidean:
-      return heap_update_k<MetricKind::Euclidean>(heap, threshold, raw, ids, m);
+      return heap_update_k<MetricKind::Euclidean>(heap, threshold, raw, ids, dead, m);
     case MetricKind::SquaredEuclidean:
-      return heap_update_k<MetricKind::SquaredEuclidean>(heap, threshold, raw, ids, m);
+      return heap_update_k<MetricKind::SquaredEuclidean>(heap, threshold, raw, ids, dead, m);
     case MetricKind::Manhattan:
-      return heap_update_k<MetricKind::Manhattan>(heap, threshold, raw, ids, m);
+      return heap_update_k<MetricKind::Manhattan>(heap, threshold, raw, ids, dead, m);
     case MetricKind::Chebyshev:
-      return heap_update_k<MetricKind::Chebyshev>(heap, threshold, raw, ids, m);
+      return heap_update_k<MetricKind::Chebyshev>(heap, threshold, raw, ids, dead, m);
   }
 }
 

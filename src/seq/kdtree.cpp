@@ -228,7 +228,8 @@ void hybrid_query(const KdRangeIndex& index, const PointD& query, MetricKind kin
 
 void hybrid_top_ell_batch(const KdRangeIndex& index, std::span<const PointD> queries,
                           std::size_t ell, MetricKind kind,
-                          std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+                          std::vector<std::vector<Key>>& out, KernelScratch& scratch,
+                          const std::uint8_t* dead) {
   const FlatStore& store = index.store();
   out.resize(queries.size());
   if (!store.empty()) {
@@ -240,7 +241,7 @@ void hybrid_top_ell_batch(const KdRangeIndex& index, std::span<const PointD> que
   }
   TreeStats stats;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    RangeTopEll scorer(store, queries[q], ell, kind, scratch);
+    RangeTopEll scorer(store, queries[q], ell, kind, scratch, dead);
     ++stats.queries;
     hybrid_query(index, queries[q], kind, 0, scorer, stats);
     scorer.finish(out[q]);

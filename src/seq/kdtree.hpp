@@ -210,8 +210,12 @@ class KdRangeIndex {
 /// kernels, so (by monotonicity of rounding) it never exceeds any covered
 /// point's raw score — pruning is lossless and the output is byte-identical
 /// to fused_top_ell_batch over index.store() (fuzzed in tests/test_parity.cpp).
+/// `dead` is an optional tombstone map aligned with index.store() rows, as
+/// in fused_top_ell_batch: dead rows never enter a heap, and the boxes
+/// still bound every row they cover, so pruning stays lossless.
 void hybrid_top_ell_batch(const KdRangeIndex& index, std::span<const PointD> queries,
                           std::size_t ell, MetricKind kind,
-                          std::vector<std::vector<Key>>& out, KernelScratch& scratch);
+                          std::vector<std::vector<Key>>& out, KernelScratch& scratch,
+                          const std::uint8_t* dead = nullptr);
 
 }  // namespace dknn

@@ -56,23 +56,6 @@ std::shared_ptr<const SealedSegment> build_segment(std::span<const PointD> point
   return segment;
 }
 
-/// Maximal live-row runs of a tombstone bitmap.
-std::shared_ptr<const LiveRuns> compute_live_runs(const std::vector<std::uint8_t>& dead) {
-  auto runs = std::make_shared<LiveRuns>();
-  std::size_t i = 0;
-  while (i < dead.size()) {
-    if (dead[i] != 0) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < dead.size() && dead[j] == 0) ++j;
-    runs->emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
-    i = j;
-  }
-  return runs;
-}
-
 /// A fresh all-live view around a sealed payload.
 SegmentView make_clean_view(std::shared_ptr<const SealedSegment> data,
                             std::uint64_t segment_id) {
@@ -81,9 +64,6 @@ SegmentView make_clean_view(std::shared_ptr<const SealedSegment> data,
   view.data = std::move(data);
   view.dead = std::make_shared<const std::vector<std::uint8_t>>(n, std::uint8_t{0});
   view.dead_count = 0;
-  auto runs = std::make_shared<LiveRuns>();
-  if (n > 0) runs->emplace_back(0, static_cast<std::uint32_t>(n));
-  view.live_runs = std::move(runs);
   view.segment_id = segment_id;
   return view;
 }
@@ -227,7 +207,6 @@ std::optional<std::uint64_t> SegmentStore::erase(PointId id) {
     if (it == seg.data->row_of.end() || (*seg.dead)[it->second] != 0) continue;
     auto dead = std::make_shared<std::vector<std::uint8_t>>(*seg.dead);
     (*dead)[it->second] = 1;
-    seg.live_runs = compute_live_runs(*dead);
     seg.dead = std::move(dead);
     ++seg.dead_count;
     store_metrics().erases.add();
@@ -311,15 +290,12 @@ std::uint64_t SegmentStore::publish_locked() {
     // treat every point source uniformly.  Id 0 is reserved for it —
     // sealed segments start at 1 — so compaction can never mistake the
     // mirror for a victim.  The view is hand-built (not make_clean_view)
-    // so the all-zero dead bitmap is shared per generation instead of
+    // so the all-zero dead map is shared per generation instead of
     // allocated O(n) per publish.
     SegmentView view;
     view.data = delta_mirror_;
     view.dead = mirror_zero_dead_;
     view.dead_count = 0;
-    auto runs = std::make_shared<LiveRuns>();
-    runs->emplace_back(0, static_cast<std::uint32_t>(delta_mirror_->store().size()));
-    view.live_runs = std::move(runs);
     view.segment_id = 0;
     next->segments.push_back(std::move(view));
   }
@@ -459,12 +435,10 @@ std::shared_ptr<const SealedSegment> SegmentStore::merge_segments(
   ids.reserve(total);
   for (const SegmentView& seg : victims) {
     const FlatStore& store = seg.data->store();
-    for (const auto& [lo, hi] : *seg.live_runs) {
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        points.push_back(store.point(i));
-        ids.push_back(store.id(i));
-      }
-    }
+    seg.for_each_live_row([&](std::size_t row) {
+      points.push_back(store.point(row));
+      ids.push_back(store.id(row));
+    });
   }
   if (points.empty()) return nullptr;
   return build_segment(points, ids, config);
@@ -543,8 +517,8 @@ void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD
   std::vector<std::vector<Key>> segment_keys;
   for (const SegmentView& seg : snapshot.segments) {
     if (seg.live() == 0) continue;
-    shard_top_ell_batch(*seg.data, seg.dead_count == 0 ? nullptr : &seg, queries, ell, kind,
-                        approx, segment_keys, scratch);
+    shard_top_ell_batch(*seg.data, seg.dead_count == 0 ? nullptr : seg.dead->data(), queries,
+                        ell, kind, approx, segment_keys, scratch);
     for (std::size_t q = 0; q < queries.size(); ++q) {
       candidates[q].insert(candidates[q].end(), segment_keys[q].begin(), segment_keys[q].end());
     }
@@ -556,7 +530,7 @@ void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD
 
 }  // namespace
 
-void shard_top_ell_batch(const ShardIndex& shard, const SegmentView* tombstones,
+void shard_top_ell_batch(const ShardIndex& shard, const std::uint8_t* dead,
                          std::span<const PointD> queries, std::size_t ell, MetricKind kind,
                          bool approx, std::vector<std::vector<Key>>& out,
                          KernelScratch& scratch) {
@@ -566,27 +540,15 @@ void shard_top_ell_batch(const ShardIndex& shard, const SegmentView* tombstones,
     // across snapshots, so per-snapshot deadness lives in the view).
     const ann::KnnGraph& graph = shard.ann->get_or_build(shard.store());
     const std::size_t ef = std::max(shard.ann->config().ef, ell);
-    const std::uint8_t* dead = tombstones == nullptr ? nullptr : tombstones->dead->data();
     ann::AnnSearchScratch ann_scratch;
     out.resize(queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       ann::ann_top_ell(graph, queries[q], ell, ef, kind, dead, out[q], ann_scratch, scratch);
     }
-  } else if (tombstones != nullptr) {
-    // Tombstoned segment: the same fused machinery over the live row runs —
-    // skipping dead rows is just a range decomposition, which RangeTopEll
-    // guarantees is byte-identical.  Compaction restores this segment to
-    // the batch paths below.
-    out.resize(queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      RangeTopEll scorer(shard.store(), queries[q], ell, kind, scratch);
-      for (const auto& [lo, hi] : *tombstones->live_runs) scorer.score_range(lo, hi);
-      scorer.finish(out[q]);
-    }
   } else if (shard.has_tree()) {
-    hybrid_top_ell_batch(*shard.tree, queries, ell, kind, out, scratch);
+    hybrid_top_ell_batch(*shard.tree, queries, ell, kind, out, scratch, dead);
   } else {
-    fused_top_ell_batch(shard.store(), queries, ell, kind, out, scratch);
+    fused_top_ell_batch(shard.store(), queries, ell, kind, out, scratch, dead);
   }
 }
 

@@ -17,7 +17,7 @@
 ///     `KdRangeIndex` when the `ScoringPolicy` says trees pay off) that
 ///     the fused/SIMD/kd-hybrid batch kernels score at full speed;
 ///   * deletes **tombstone** rows of sealed segments via copy-on-write
-///     bitmaps (the heavy coordinate arrays are never copied);
+///     byte maps (the heavy coordinate arrays are never copied);
 ///   * every mutation publishes a new immutable `ServeSnapshot` under a
 ///     monotonically increasing **epoch** number.
 ///
@@ -35,9 +35,11 @@
 /// `fused_top_ell` over a single FlatStore rebuilt from the live set at
 /// that epoch, for every metric, scoring policy, and kernel ISA.  This
 /// holds because every scoring path accumulates distances in the same
-/// dimension-ascending order and selection is order-blind over globally
-/// distinct (distance, id) keys — segmentation, tombstone skipping and
-/// per-segment top-ℓ merging never change a byte.
+/// dimension-ascending order, tombstoned rows are masked out where a
+/// scored row would enter a top-ℓ heap (so they never reach one), and
+/// selection is order-blind over globally distinct (distance, id) keys —
+/// segmentation, tombstones and per-segment top-ℓ merging never change a
+/// byte.
 
 #include <cstdint>
 #include <memory>
@@ -114,35 +116,40 @@ struct SealedSegment : ShardIndex {
   std::unordered_map<PointId, std::uint32_t> row_of;
 };
 
-/// Maximal [lo, hi) row ranges of live (non-tombstoned) points.
-using LiveRuns = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-
 /// One epoch's view of a segment: shared heavy payload plus copy-on-write
-/// tombstone state.  Value-copyable (three shared_ptrs and two integers),
+/// tombstone state.  Value-copyable (two shared_ptrs and two integers),
 /// immutable once published.
 struct SegmentView {
   std::shared_ptr<const SealedSegment> data;
-  /// Row-aligned tombstone flags (1 = deleted); never null.
+  /// Row-aligned tombstone flags (1 = deleted, 0 = live); never null.  May
+  /// be longer than rows() (the delta mirror shares one capacity-sized
+  /// all-zero map per generation), so walks stop at rows().
   std::shared_ptr<const std::vector<std::uint8_t>> dead;
   std::uint32_t dead_count = 0;
-  /// Live row runs, precomputed at publish so queries pay O(runs) not O(n);
-  /// never null.  Empty when the segment is 100 % tombstones.
-  std::shared_ptr<const LiveRuns> live_runs;
   /// Stable identity for compaction install checks (unique per seal).
   std::uint64_t segment_id = 0;
 
   [[nodiscard]] std::size_t rows() const { return data->store().size(); }
   [[nodiscard]] std::size_t live() const { return rows() - dead_count; }
+
+  /// Calls `f(row)` for every live row of store(), ascending.
+  template <typename F>
+  void for_each_live_row(F&& f) const {
+    const std::uint8_t* flags = dead->data();
+    for (std::size_t row = 0, n = rows(); row < n; ++row) {
+      if (flags[row] == 0) f(row);
+    }
+  }
 };
 
 /// One shard's local top-ℓ per query through its policy path: the graph
 /// beam search + exact rerank when `approx` is set and the shard carries a
 /// graph slot, else the kd-hybrid when it carries a tree, else the fused
-/// batch kernel.  `tombstones` is the segment's view when it has dead rows
-/// (null = every row live): the graph walk filters them, and the exact
-/// path scores the view's live runs through RangeTopEll instead.  `out` is
-/// resized to queries.size(); out[q] holds min(ℓ, live) keys ascending.
-void shard_top_ell_batch(const ShardIndex& shard, const SegmentView* tombstones,
+/// batch kernel.  `dead` is the shard's tombstone map aligned with
+/// store() rows (null = every row live): every path skips the rows it
+/// flags, so a tombstoned shard runs exactly a clean shard's path.  `out`
+/// is resized to queries.size(); out[q] holds min(ℓ, live) keys ascending.
+void shard_top_ell_batch(const ShardIndex& shard, const std::uint8_t* dead,
                          std::span<const PointD> queries, std::size_t ell, MetricKind kind,
                          bool approx, std::vector<std::vector<Key>>& out,
                          KernelScratch& scratch);
@@ -347,13 +354,13 @@ class SegmentStore {
 };
 
 /// Scores `queries` against the snapshot's live set, fused with bounded
-/// top-ℓ selection: clean segments run the fused batch kernel (or the
-/// kd-hybrid when the segment carries a tree), tombstoned segments run
-/// the same kernels over their live row runs via RangeTopEll, and the
-/// per-segment winners merge into each query's global top-ℓ.  `out` is
-/// resized to queries.size(); out[q] holds min(ℓ, live) keys ascending.
-/// Byte-identical to fused_top_ell_batch over a FlatStore rebuilt from
-/// the live set (fuzzed in tests/test_serve.cpp).
+/// top-ℓ selection: every segment runs the fused batch kernel, or the
+/// kd-hybrid when it carries a tree, with its tombstone map masking dead
+/// rows out of the heaps, and the per-segment winners merge into each
+/// query's global top-ℓ.  `out` is resized to queries.size(); out[q]
+/// holds min(ℓ, live) keys ascending.  Byte-identical to
+/// fused_top_ell_batch over a FlatStore rebuilt from the live set (fuzzed
+/// in tests/test_serve.cpp).
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                             std::size_t ell, MetricKind kind,
                             std::vector<std::vector<Key>>& out, KernelScratch& scratch);

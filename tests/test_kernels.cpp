@@ -438,6 +438,38 @@ TEST(BatchDriver, RunKnnBatchMatchesPerQueryRuns) {
   EXPECT_LE(sum, batch.report.rounds);
 }
 
+TEST(BatchDriver, PerQueryRoundsMatchRunKnnAlone) {
+  // A batch query's rounds run from the one after the last machine
+  // finished the previous query through the last round any machine spent
+  // on it.  So query 0 of a batch, and a one-query batch, count what
+  // run_knn counts for the same input alone — with the early finish
+  // (ℓ = 8) and on the paper's full path (ℓ = 64) — and the counts sum to
+  // the batch total.
+  Rng rng(45);
+  auto points = uniform_points(4000, 3, 50.0, rng);
+  const auto shards = make_vector_shards(std::move(points), 16, PartitionScheme::RoundRobin, rng);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Brute);
+  const auto queries = uniform_points(4, 3, 50.0, rng);
+  EngineConfig engine;
+  engine.seed = 101;
+  for (const std::uint64_t ell : {8u, 64u}) {
+    SCOPED_TRACE("ell=" + std::to_string(ell));
+    const auto scored = score_vector_shards_batch(indexes, queries, ell);
+    const auto alone = run_knn(scored[0], ell, KnnAlgo::DistKnn, engine);
+    const auto single = run_knn_batch({scored[0]}, ell, KnnAlgo::DistKnn, engine);
+    EXPECT_EQ(single.per_query[0].report.rounds, alone.report.rounds);
+    EXPECT_EQ(single.report.rounds, alone.report.rounds);
+    const auto batch = run_knn_batch(scored, ell, KnnAlgo::DistKnn, engine);
+    EXPECT_EQ(batch.per_query[0].report.rounds, alone.report.rounds);
+    std::uint64_t sum = 0;
+    for (const auto& one : batch.per_query) {
+      EXPECT_GT(one.report.rounds, 0u);
+      sum += one.report.rounds;
+    }
+    EXPECT_EQ(sum, batch.report.rounds);
+  }
+}
+
 TEST(BatchDriver, AllAlgosAgreeOnBatch) {
   Rng rng(44);
   auto points = uniform_points(640, 2, 50.0, rng);

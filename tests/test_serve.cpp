@@ -278,7 +278,11 @@ TEST(SegmentStoreDegenerate, FullyTombstonedTreeSegment) {
   const SnapshotPtr snap = store.snapshot();
   EXPECT_EQ(snap->live_points, 4u);
   EXPECT_EQ(snap->segments[0].live(), 0u);
-  EXPECT_TRUE(snap->segments[0].live_runs->empty());
+  const SegmentView& dead_segment = snap->segments[0];
+  EXPECT_TRUE(std::all_of(dead_segment.dead->begin(),
+                          dead_segment.dead->begin() +
+                              static_cast<std::ptrdiff_t>(dead_segment.rows()),
+                          [](std::uint8_t flag) { return flag == 1; }));
 
   const PointD query = uniform_points(1, 2, 50.0, rng)[0];
   for (const MetricKind kind : kAllKinds) {
@@ -298,6 +302,75 @@ TEST(SegmentStoreDegenerate, FullyTombstonedTreeSegment) {
     expect_same_keys(oracle_top_ell(delta, query, 8, kind),
                      snapshot_top_ell(*store.snapshot(), query, 8, kind),
                      metric_kind_name(kind));
+  }
+}
+
+TEST(SegmentStoreDegenerate, TombstonedTreeSegmentKeepsTheTree) {
+  // One Tree-policy segment large enough for 16 leaves of 256 rows and
+  // full 16-row prefilter blocks behind a full heap.  Tombstones land in
+  // every leaf, on block boundaries and in the fill phase, and one leaf
+  // dies completely; the kd-hybrid must still run and match the oracle.
+  constexpr std::size_t kDim = 8;
+  constexpr std::size_t kRows = 4096;
+  Rng rng(29);
+  const auto points = uniform_points(kRows, kDim, 50.0, rng);
+  std::vector<PointId> ids(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) ids[i] = 1 + 3 * i;
+  SegmentStore store(kDim, points, ids,
+                     ServeConfig{.policy = ScoringPolicy::Tree, .leaf_size = 256});
+  const SnapshotPtr sealed = store.snapshot();
+  ASSERT_EQ(sealed->segments.size(), 1u);
+  const SealedSegment& segment = *sealed->segments[0].data;
+  ASSERT_NE(segment.tree, nullptr);
+
+  // Tombstone rows of the tree-ordered store, leaf by leaf.
+  std::vector<std::uint8_t> kill(kRows, 0);
+  std::size_t leaves = 0;
+  PointD in_dead_leaf;
+  for (const KdRangeIndex::Node& node : segment.tree->nodes()) {
+    if (node.left >= 0) continue;
+    const bool whole = leaves++ == 5;
+    for (std::size_t row = node.lo; row < node.hi; ++row) {
+      const std::size_t at = row - node.lo;
+      kill[row] = whole || at < 3 || at % 16 == 0 || at % 16 == 15 || at % 8 == 7 ||
+                  rng.bernoulli(0.125);
+    }
+    if (whole) in_dead_leaf = segment.store().point(node.lo);
+  }
+  ASSERT_GE(leaves, 8u);
+  std::vector<LivePoint> live;
+  for (std::size_t row = 0; row < kRows; ++row) {
+    const PointId id = segment.store().id(row);
+    if (kill[row] != 0) {
+      ASSERT_TRUE(store.erase(id).has_value());
+    } else {
+      live.push_back(LivePoint{id, segment.store().point(row)});
+    }
+  }
+  const SnapshotPtr snap = store.snapshot();
+  ASSERT_EQ(snap->live_points, live.size());
+  ASSERT_GT(snap->segments[0].dead_count, 0u);
+
+  auto queries = uniform_points(6, kDim, 50.0, rng);
+  queries.push_back(in_dead_leaf);  // its nearest rows are all dead
+  for (int forced = 0; forced < 2; ++forced) {
+    std::optional<simd::ScopedForceIsa> pin;
+    if (forced == 1) pin.emplace(simd::Isa::Scalar);
+    for (const MetricKind kind : kAllKinds) {
+      for (const std::size_t ell : {1u, 16u, 300u}) {
+        const std::uint64_t before = store.tree_stats().queries;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          const std::string label = std::string(metric_kind_name(kind)) +
+                                    " forced=" + std::to_string(forced) +
+                                    " ell=" + std::to_string(ell) + " q=" + std::to_string(q);
+          ASSERT_NO_FATAL_FAILURE(expect_same_keys(oracle_top_ell(live, queries[q], ell, kind),
+                                                   snapshot_top_ell(*snap, queries[q], ell, kind),
+                                                   label));
+        }
+        // Every query traversed the tree: no silent fallback to a scan.
+        EXPECT_EQ(store.tree_stats().queries, before + queries.size());
+      }
+    }
   }
 }
 

@@ -16,7 +16,8 @@
 // over the fused kernel for one query and for batches of 1 … 2Q+1
 // queries (Q = simd::kQueryBlock, so every remainder of the query block
 // runs after zero, one and two full blocks), the RangeTopEll leaf scorer
-// under random range decompositions (the kd-hybrid entry point), the
+// under random range decompositions (the kd-hybrid entry point), both
+// again under tombstone maps (dead rows must never reach a heap), the
 // materializing score_store, and the policy-aware parallel driver path.
 // Failures log the trial seed via SCOPED_TRACE for a one-line repro.
 //
@@ -31,6 +32,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -165,12 +167,94 @@ Trial make_trial(std::uint64_t seed, std::uint64_t index) {
   return t;
 }
 
+/// One tombstone map for a trial, with the reference answers over its live
+/// rows for the first kQueryBlock batch queries (element 0 is t.query's).
+struct DeadCase {
+  std::string label;
+  std::vector<std::uint8_t> dead;
+  std::vector<std::vector<Key>> expected;
+};
+
+/// The case for one map: the functor oracle over the rows it leaves live —
+/// what a store rebuilt after the deletes would answer.
+DeadCase make_dead_case(const Trial& t, std::string label, std::vector<std::uint8_t> dead) {
+  VectorShard live;
+  for (std::size_t i = 0; i < dead.size(); ++i) {
+    if (dead[i] != 0) continue;
+    live.points.push_back(t.shard.points[i]);
+    live.ids.push_back(t.shard.ids[i]);
+  }
+  DeadCase c{std::move(label), std::move(dead), {}};
+  for (std::size_t q = 0; q < simd::kQueryBlock; ++q) {
+    c.expected.push_back(reference_top_ell(live, t.batch[q], t.kind, t.ell));
+  }
+  return c;
+}
+
+/// Tombstone maps for a trial: random ones at densities 0, 1/64, 1/4 and
+/// 1/2, then dead rows in the heap-fill phase, in the last (masked tail)
+/// prefilter block, everywhere, and everywhere but ℓ − 1 rows.
+std::vector<DeadCase> dead_cases(const Trial& t, std::uint64_t seed) {
+  const std::size_t n = t.shard.points.size();
+  Rng rng(seed);
+  std::vector<DeadCase> cases;
+  for (const std::uint64_t per_64 : {0, 1, 16, 32}) {
+    std::vector<std::uint8_t> dead(n);
+    for (auto& flag : dead) flag = rng.below(64) < per_64 ? 1 : 0;
+    cases.push_back(make_dead_case(t, "density " + std::to_string(per_64) + "/64", dead));
+  }
+  std::vector<std::uint8_t> fill(n, 0);
+  for (std::size_t i = 0; i < n && i < 2 * t.ell; i += 2) fill[i] = 1;
+  cases.push_back(make_dead_case(t, "fill phase", fill));
+  std::vector<std::uint8_t> tail(n, 0);
+  for (std::size_t i = n - (n % 16 == 0 ? 16 : n % 16); i < n; ++i) {
+    tail[i] = rng.bernoulli(0.5) ? 1 : 0;
+  }
+  cases.push_back(make_dead_case(t, "masked tail", tail));
+  cases.push_back(make_dead_case(t, "all dead", std::vector<std::uint8_t>(n, 1)));
+  std::vector<std::uint8_t> sparse(n, 1);
+  for (std::size_t k = 0; k + 1 < t.ell && k < n; ++k) sparse[rng.below(n)] = 0;
+  cases.push_back(make_dead_case(t, "live < ell", sparse));
+  return cases;
+}
+
+/// Scores `store` under one case's tombstone map through both masked entry
+/// points — fused_top_ell_batch for nq = 1, 3 and 8, and RangeTopEll over
+/// a random decomposition — and asserts byte parity with the case's
+/// live-rows reference.
+void check_dead_case(const Trial& t, const FlatStore& store, const DeadCase& c,
+                     std::uint64_t range_seed) {
+  SCOPED_TRACE(c.label);
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> got;
+  for (const std::size_t nq : {std::size_t{1}, std::size_t{3}, simd::kQueryBlock}) {
+    fused_top_ell_batch(store, std::span<const PointD>(t.batch.data(), nq), t.ell, t.kind, got,
+                        scratch, c.dead.data());
+    ASSERT_EQ(got.size(), nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_keys(c.expected[q], got[q],
+                           "masked batch nq=" + std::to_string(nq) + " q=" + std::to_string(q)));
+    }
+  }
+  Rng rng(range_seed);
+  RangeTopEll scorer(store, t.query, t.ell, t.kind, scratch, c.dead.data());
+  for (std::size_t lo = 0; lo < store.size();) {
+    const std::size_t hi = lo + 1 + rng.below(store.size() - lo);
+    scorer.score_range(lo, hi);
+    lo = hi;
+  }
+  std::vector<Key> ranged;
+  scorer.finish(ranged);
+  expect_same_keys(c.expected[0], ranged, "masked range");
+}
+
 /// Scores the trial on one pinned ISA via every kernel entry point and
 /// asserts byte parity with the reference (`expected_batch` from
-/// reference_batch).  `range_seed` drives the RangeTopEll decomposition
-/// (same stream across ISAs → same ranges).
+/// reference_batch, `dead` from dead_cases).  `range_seed` drives the
+/// RangeTopEll decompositions (same stream across ISAs → same ranges).
 void check_isa(const Trial& t, const std::vector<std::vector<Key>>& expected_batch,
-               simd::Isa isa, std::uint64_t range_seed) {
+               const std::vector<DeadCase>& dead, simd::Isa isa, std::uint64_t range_seed) {
   SCOPED_TRACE(simd::isa_name(isa));
   ForcedIsa pin(isa);
   const FlatStore store(t.shard.points, t.shard.ids);
@@ -219,6 +303,9 @@ void check_isa(const Trial& t, const std::vector<std::vector<Key>>& expected_bat
     const auto got = top_ell_smallest(std::span<const Key>(scored), t.ell);
     expect_same_keys(expected, got, "score_store");
   }
+
+  // Tombstone maps: dead rows must never reach a heap on any ISA.
+  for (const DeadCase& c : dead) ASSERT_NO_FATAL_FAILURE(check_dead_case(t, store, c, range_seed));
 }
 
 void run_trial(std::uint64_t seed, std::uint64_t index, const std::vector<simd::Isa>& isas) {
@@ -230,7 +317,8 @@ void run_trial(std::uint64_t seed, std::uint64_t index, const std::vector<simd::
         << " ell=" << t.ell << " mode=" << static_cast<int>(t.mode);
   SCOPED_TRACE(trace.str());
   const auto expected = reference_batch(t);
-  for (const simd::Isa isa : isas) check_isa(t, expected, isa, seed ^ 0x5EEDULL);
+  const auto dead = dead_cases(t, seed ^ 0xDEADULL);
+  for (const simd::Isa isa : isas) check_isa(t, expected, dead, isa, seed ^ 0x5EEDULL);
 }
 
 TEST(SimdParity, DispatchReportsCoherently) {
@@ -287,7 +375,8 @@ TEST(SimdParity, EveryTailResidueTinyN) {
     trace << "n=" << n << " metric=" << metric_kind_name(t.kind);
     SCOPED_TRACE(trace.str());
     const auto expected = reference_batch(t);
-    for (const simd::Isa isa : isas) check_isa(t, expected, isa, 0xFEEDULL + n);
+    const auto dead = dead_cases(t, 0xDEADULL + n);
+    for (const simd::Isa isa : isas) check_isa(t, expected, dead, isa, 0xFEEDULL + n);
   }
 }
 
@@ -311,7 +400,42 @@ TEST(SimdParity, DenormalSaturatedAllMetrics) {
     add_batch(t, 0xDE402ULL);
     SCOPED_TRACE(metric_kind_name(kind));
     const auto expected = reference_batch(t);
-    for (const simd::Isa isa : isas) check_isa(t, expected, isa, 0xDE401ULL);
+    const auto dead = dead_cases(t, 0xDE403ULL);
+    for (const simd::Isa isa : isas) check_isa(t, expected, dead, isa, 0xDE401ULL);
+  }
+}
+
+TEST(SimdParity, TombstoneMaskAcrossTiles) {
+  // Three full 256-row tiles plus a tail, with the middle tile entirely
+  // dead between live ones; with ℓ = 300 the heap fills across a tile edge
+  // while rows are dying.
+  const auto isas = supported_isas();
+  Rng rng(0x70BULL);
+  Trial t;
+  t.dim = 8;
+  for (std::size_t i = 0; i < 3 * 256 + 37; ++i) {
+    t.shard.points.push_back(random_point(t.dim, CoordMode::Continuous, rng));
+    t.shard.ids.push_back(5 + 2 * i);
+  }
+  t.query = random_point(t.dim, CoordMode::Continuous, rng);
+  add_batch(t, 0x70CULL);
+  std::vector<std::uint8_t> dead(t.shard.points.size());
+  for (std::size_t i = 0; i < dead.size(); ++i) {
+    dead[i] = (i >= 256 && i < 512) || rng.below(4) == 0;
+  }
+  const FlatStore store(t.shard.points, t.shard.ids);
+  for (const MetricKind kind : kAllKinds) {
+    for (const std::size_t ell : {1u, 16u, 300u}) {
+      t.kind = kind;
+      t.ell = ell;
+      const DeadCase c = make_dead_case(t, "dead middle tile", dead);
+      for (const simd::Isa isa : isas) {
+        const ForcedIsa pin(isa);
+        SCOPED_TRACE(std::string(simd::isa_name(isa)) + " " + metric_kind_name(kind) +
+                     " ell=" + std::to_string(ell));
+        ASSERT_NO_FATAL_FAILURE(check_dead_case(t, store, c, 0x70DULL + ell));
+      }
+    }
   }
 }
 
