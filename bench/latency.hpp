@@ -38,9 +38,11 @@
 namespace dknn::bench {
 
 /// Ceil nearest-rank percentile of an ascending-sorted, non-empty sample.
-/// `p` in [0, 1]; p = 0 returns the minimum, p = 1 the maximum.
+/// `p` in [0, 1]; p = 0 returns the minimum, p = 1 the maximum.  A NaN `p`
+/// returns NaN (it would otherwise reach an undefined float-to-index cast).
 [[nodiscard]] inline double percentile_nearest_rank(std::span<const double> sorted, double p) {
   if (sorted.empty()) return 0.0;
+  if (std::isnan(p)) return p;
   const double n = static_cast<double>(sorted.size());
   // rank = ⌈p·n⌉, clamped to [1, n].  The clamp (not an epsilon fudge)
   // handles both ends: p ≤ 0 and any fp wobble above n.
@@ -51,14 +53,15 @@ namespace dknn::bench {
 }
 
 /// Linearly interpolated percentile (Hyndman–Fan R-7) of an
-/// ascending-sorted, non-empty sample.  `p` in [0, 1].
+/// ascending-sorted, non-empty sample.  `p` in [0, 1]; a NaN `p` returns NaN.
 [[nodiscard]] inline double percentile_interpolated(std::span<const double> sorted, double p) {
   if (sorted.empty()) return 0.0;
+  if (std::isnan(p)) return p;
   if (p <= 0.0) return sorted.front();
   if (p >= 1.0) return sorted.back();
   const double h = static_cast<double>(sorted.size() - 1) * p;
   const auto lo = static_cast<std::size_t>(h);
-  if (lo + 1 >= sorted.size()) return sorted.back();
+  if (lo >= sorted.size() - 1) return sorted.back();
   const double frac = h - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
 }

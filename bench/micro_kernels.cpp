@@ -18,17 +18,22 @@
 // and the kd-tree/FlatStore hybrid, then the fused batch path at one
 // offline shard's shape (8,000 points, d=64, ℓ=32, 64-query block), then
 // single queries over the online workload's machines (16 Auto segments of
-// 4,096 rows, d=8, ℓ=16) with 0, 64 and 512 tombstones per segment, and
-// writes the medians to PATH — the machine-readable perf trajectory
-// (BENCH_kernels.json) the ROADMAP tracks.  Without the flag it is a
-// plain google-benchmark binary.
+// 4,096 rows, d=8, ℓ=16) with 0, 64 and 512 tombstones per segment, then
+// the simulated message plane (Algorithm 2 selection runs at the online
+// and offline shapes, and an empty engine run, with heap allocations
+// counted by a replaced global operator new), and writes the medians to
+// PATH — the machine-readable perf trajectory (BENCH_kernels.json) the
+// ROADMAP tracks.  Without the flag it is a plain google-benchmark binary.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -50,7 +55,24 @@
 #include "seq/select.hpp"
 #include "serial/codec.hpp"
 #include "serve/segment_store.hpp"
+#include "sim/engine.hpp"
 #include "support/timer.hpp"
+
+namespace {
+/// Every heap allocation the process makes through operator new (the
+/// message_plane stanza reads differences of it around one run).
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not pair the inlined free() with operator new
+// and warn about a mismatched deallocation.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -524,6 +546,82 @@ TombstonedSegments time_tombstoned_segments(std::size_t repeats) {
   return result;
 }
 
+/// One message_plane row: a whole run of the simulated k-machine model.
+struct PlaneRow {
+  std::uint64_t messages = 0;     ///< per run
+  std::uint64_t allocations = 0;  ///< per run (they repeat exactly)
+  double us_per_run = 0.0;        ///< median over the repeats
+
+  [[nodiscard]] double allocations_per_message() const {
+    return static_cast<double>(allocations) / static_cast<double>(messages);
+  }
+};
+
+/// Times `runs` back-to-back calls of `run` (which returns the run's
+/// message count) per repeat, and counts one warmed-up run's allocations.
+template <typename Run>
+PlaneRow time_plane(std::size_t repeats, std::size_t runs, Run&& run) {
+  (void)run();
+  PlaneRow row;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  row.messages = run();
+  row.allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  const PathTiming timing = time_path(repeats, 1, runs, [&] {
+    for (std::size_t r = 0; r < runs; ++r) benchmark::DoNotOptimize(run());
+  });
+  row.us_per_run = timing.median_ms * 1e3 / static_cast<double>(runs);
+  return row;
+}
+
+/// `queries` × `machines` shards of `keys` ascending random keys each: what
+/// local top-ℓ scoring hands Algorithm 2.
+std::vector<std::vector<std::vector<Key>>> make_scored_batch(std::size_t queries,
+                                                             std::size_t machines,
+                                                             std::size_t keys, Rng& rng) {
+  std::vector<std::vector<std::vector<Key>>> batch(queries);
+  std::uint64_t next_id = 1;
+  for (auto& shards : batch) {
+    for (std::size_t m = 0; m < machines; ++m) {
+      std::vector<Key> shard;
+      for (std::size_t i = 0; i < keys; ++i) shard.push_back(Key{rng.next_u64() >> 16, next_id++});
+      std::sort(shard.begin(), shard.end());
+      shards.push_back(std::move(shard));
+    }
+  }
+  return batch;
+}
+
+struct SelectionShape {
+  std::size_t machines = 0;
+  std::size_t ell = 0;
+  std::size_t queries = 0;
+};
+
+constexpr SelectionShape kOnlineSelection{16, 16, 1};
+constexpr SelectionShape kOfflineSelection{8, 32, 64};
+constexpr std::uint32_t kEmptyRunMachines = 16;
+
+PlaneRow time_selection(const SelectionShape& shape, std::size_t repeats, std::size_t runs,
+                        Rng& rng) {
+  const auto scored = make_scored_batch(shape.queries, shape.machines, shape.ell, rng);
+  return time_plane(repeats, runs, [&] {
+    const BatchRunResult batch = run_knn_batch(scored, shape.ell, KnnAlgo::DistKnn, EngineConfig{});
+    return batch.report.traffic.messages_sent();
+  });
+}
+
+void write_selection_row(std::FILE* f, const char* name, const SelectionShape& shape,
+                         const PlaneRow& row) {
+  std::fprintf(f,
+               "    \"%s\": {\"machines\": %zu, \"ell\": %zu, \"queries\": %zu, "
+               "\"messages\": %llu, \"us_per_run\": %.1f, \"us_per_message\": %.3f, "
+               "\"allocations_per_run\": %llu, \"allocations_per_message\": %.2f},\n",
+               name, shape.machines, shape.ell, shape.queries,
+               static_cast<unsigned long long>(row.messages), row.us_per_run,
+               row.us_per_run / static_cast<double>(row.messages),
+               static_cast<unsigned long long>(row.allocations), row.allocations_per_message());
+}
+
 /// The canonical serving workload the ROADMAP's perf trajectory tracks.
 int emit_bench_json(const std::string& path) {
   constexpr std::size_t kPoints = 100000;
@@ -655,6 +753,20 @@ int emit_bench_json(const std::string& path) {
     return 1;
   }
 
+  // Message-plane rows: Algorithm 2 over pre-scored keys (each machine
+  // holds its local top-ℓ) at perfbench's online shape (k = 16, ℓ = 16,
+  // one query) and offline shape (k = 8, ℓ = 32, one 64-query block), and
+  // an empty k = 16 engine run (construction included) for the fixed cost.
+  Rng plane_rng(19);
+  const PlaneRow online_plane = time_selection(kOnlineSelection, kRepeats, 100, plane_rng);
+  const PlaneRow offline_plane = time_selection(kOfflineSelection, kRepeats, 5, plane_rng);
+  EngineConfig empty_config;
+  empty_config.world_size = kEmptyRunMachines;
+  const PlaneRow empty_plane = time_plane(kRepeats, 1000, [&] {
+    Engine engine(empty_config);
+    return engine.run([](Ctx&) -> Task<void> { co_return; }).traffic.messages_sent();
+  });
+
   std::vector<PathRow> rows;
   rows.emplace_back("aos_per_query", aos);
   rows.emplace_back("soa_materialized", soa_mat);
@@ -702,6 +814,14 @@ int emit_bench_json(const std::string& path) {
                  i + 1 < tombstoned.rows.size() ? "," : "");
   }
   std::fprintf(f, "  }},\n");
+  std::fprintf(f, "  \"message_plane\": {\"algo\": \"dist-knn\", \"bandwidth\": \"unlimited\",\n");
+  write_selection_row(f, "online_run_knn_batch", kOnlineSelection, online_plane);
+  write_selection_row(f, "offline_run_knn_batch", kOfflineSelection, offline_plane);
+  std::fprintf(f,
+               "    \"empty_engine_run\": {\"machines\": %u, \"us_per_run\": %.2f, "
+               "\"allocations_per_run\": %llu}\n  },\n",
+               kEmptyRunMachines, empty_plane.us_per_run,
+               static_cast<unsigned long long>(empty_plane.allocations));
   std::fprintf(f, "  \"speedup_fused_vs_aos\": %.2f,\n", aos.median_ms / fused.median_ms);
   if (scalar_forced_ms.has_value()) {
     std::fprintf(f, "  \"speedup_simd_vs_scalar\": %.2f,\n", *scalar_forced_ms / fused.median_ms);
@@ -741,6 +861,11 @@ int emit_bench_json(const std::string& path) {
     std::printf("; %zu tombstones/segment %.1f us/query (tree share %.3f)", row.tombstones,
                 row.timing.median_ms * 1e3 / kSegmentQueries, row.tree_share);
   }
+  std::printf("; message plane: online %.1f us/run (%.2f allocations/message), offline %.1f "
+              "us/run (%.2f allocations/message), empty run %.2f us",
+              online_plane.us_per_run, online_plane.allocations_per_message(),
+              offline_plane.us_per_run, offline_plane.allocations_per_message(),
+              empty_plane.us_per_run);
   std::printf(")\n");
   return 0;
 }

@@ -12,12 +12,15 @@
 ///   * drop      — the message vanishes;
 ///   * delay     — the message enters its link `delay_rounds` rounds late
 ///                 (late wake-up, not loss: protocols must still converge);
-///   * duplicate — the message transmits twice back to back with the same
+///   * duplicate — the message is queued twice back to back with the same
 ///                 sequence number.  The network delivers both copies (and
-///                 both consume link bandwidth under bounded policies); the
-///                 engine's Ctx suppresses the repeat by (src, seq) — at-
-///                 most-once delivery — so protocols stay correct while
-///                 their traffic timing is still perturbed.
+///                 both consume link bandwidth under bounded policies).
+///                 Links only append and a message gets one decision, so
+///                 the copy is always the next message its receiver gets
+///                 from that sender; the engine's Ctx drops a repeat of the
+///                 last seq from each source — at-most-once delivery — so
+///                 protocols stay correct while their traffic timing is
+///                 still perturbed.
 ///
 /// Determinism contract: the drop decision consumes exactly one bernoulli
 /// draw per eligible message regardless of which other modes are enabled,

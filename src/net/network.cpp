@@ -57,7 +57,9 @@ void Network::send(Envelope env) {
   stats_.on_send(env);
   if (decision.action == FaultAction::Duplicate) {
     // A spurious network-level duplicate: same seq, queued right behind
-    // the original on the same FIFO (both copies count as traffic).
+    // the original on the same FIFO (both copies count as traffic).  Links
+    // only append, so the copy is the next message its receiver gets from
+    // this sender — the receiver's Ctx relies on that to suppress it.
     Envelope copy = env;
     stats_.on_send(copy);
     enqueue(std::move(env));
@@ -116,16 +118,14 @@ void Network::end_round(std::uint64_t round) {
     // Rotate the drain order each round (deterministically) so a saturated
     // NIC serves every sender fairly instead of letting low ids starve the
     // rest.  Only links with queued traffic are visited: O(active links).
-    std::vector<MachineId> still_busy;
-    still_busy.reserve(busy.size());
     const std::size_t offset = static_cast<std::size_t>(round) % busy.size();
     for (std::size_t step = 0; step < busy.size(); ++step) {
       const MachineId src = busy[(step + offset) % busy.size()];
       auto& link = links_[link_index(src, dst)];
       link.bits_this_round = 0;
       std::uint64_t budget = unlimited ? kInfinite : std::min(config_.bits_per_round, ingress);
-      while (!link.queue.empty() && budget > 0) {
-        InTransit& head = link.queue.front();
+      while (link.head < link.queue.size() && budget > 0) {
+        InTransit& head = link.queue[link.head];
         const std::uint64_t sent = std::min(budget, head.bits_remaining);
         head.bits_remaining -= sent;
         if (budget != kInfinite) budget -= sent;
@@ -133,15 +133,19 @@ void Network::end_round(std::uint64_t round) {
         if (head.bits_remaining == 0) {
           stats_.on_deliver(head.env, round + 1);
           mailboxes_[dst].push_back(std::move(head.env));
-          link.queue.pop_front();
+          ++link.head;
           --in_flight_;
         } else {
           break;  // link budget exhausted mid-message
         }
       }
-      if (!link.queue.empty()) still_busy.push_back(src);
+      if (2 * link.head >= link.queue.size()) {  // compact; clears a drained link
+        link.queue.erase(link.queue.begin(), link.queue.begin() + link.head);
+        link.head = 0;
+      }
     }
-    busy = std::move(still_busy);
+    // Forget the links this round drained (the rest stay sorted).
+    std::erase_if(busy, [&](MachineId src) { return links_[link_index(src, dst)].queue.empty(); });
   }
 }
 

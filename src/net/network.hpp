@@ -24,7 +24,6 @@
 /// fit in O(log n)-bit links).
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -89,10 +88,14 @@ public:
   /// last bit was transmitted become deliverable at round + 1.
   void end_round(std::uint64_t round);
 
-  /// Drains messages deliverable to `dst` (called by the engine when
-  /// starting the next round).  Order is deterministic: by completion
-  /// round, then by the round's rotated sender order, then per-sender FIFO.
+  /// Drains messages deliverable to `dst`.  Order is deterministic: by
+  /// completion round, then by the round's rotated sender order, then
+  /// per-sender FIFO.
   [[nodiscard]] std::vector<Envelope> collect_delivered(MachineId dst);
+
+  /// The same messages in place: the engine moves them out and clears the
+  /// buffer, which keeps its capacity for the next round.
+  [[nodiscard]] std::vector<Envelope>& delivered(MachineId dst) { return mailboxes_[dst]; }
 
   /// True when any message is still queued, held by the delay stage, or in
   /// transit (delayed messages count: they will wake a receiver later, so
@@ -115,8 +118,13 @@ private:
     Envelope env;
     std::uint64_t bits_remaining = 0;
   };
+  /// One direction of one link.  Its FIFO is queue[head, size), drained
+  /// from `head` and compacted once at least half is drained, which clears
+  /// an emptied link.  An unused link allocates nothing; a busy one reuses
+  /// its buffer.
   struct DirectedLink {
-    std::deque<InTransit> queue;        ///< FIFO awaiting transmission
+    std::vector<InTransit> queue;
+    std::size_t head = 0;
     std::uint64_t bits_this_round = 0;  ///< Strict-mode accounting
   };
 
@@ -133,7 +141,9 @@ private:
   };
 
   NetworkConfig config_;
-  std::vector<DirectedLink> links_;                 // k*k directed (diagonal unused)
+  /// k*k directed links (diagonal unused): one allocation, as an unused
+  /// DirectedLink owns no memory.
+  std::vector<DirectedLink> links_;
   std::vector<std::vector<Envelope>> mailboxes_;    // per destination, ready to deliver
   /// Sources with queued traffic, per destination (kept sorted by end_round)
   /// so a round costs O(active links), not O(k²).

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "rng/rng.hpp"

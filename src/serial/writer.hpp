@@ -16,7 +16,9 @@ namespace dknn {
 
 class Writer {
 public:
-  Writer() = default;
+  /// Starts with room for any Algorithm 1/2 message (all ≤ 42 bytes), so
+  /// encoding one allocates once; bulk payloads grow past it as usual.
+  Writer() { buffer_.reserve(kInitialCapacity); }
 
   /// Fixed-width little-endian unsigned integer.
   void put_u8(std::uint8_t v);
@@ -47,6 +49,7 @@ public:
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
 
 private:
+  static constexpr std::size_t kInitialCapacity = 48;
   Bytes buffer_;
 };
 

@@ -11,10 +11,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "net/types.hpp"
@@ -70,8 +68,8 @@ public:
   /// (arrival order decides among multiple matches).
   [[nodiscard]] std::optional<Envelope> try_take_any(std::span<const Tag> tags);
 
-  /// Number of undelivered mailbox messages (diagnostics/tests).
-  [[nodiscard]] std::size_t mailbox_size() const { return mailbox_.size(); }
+  /// Number of delivered messages not yet taken (diagnostics/tests).
+  [[nodiscard]] std::size_t mailbox_size() const { return mailbox_live_; }
 
   /// Round barrier; `co_await ctx.round()` resumes at the next superstep.
   [[nodiscard]] RoundBarrier round();
@@ -81,8 +79,10 @@ public:
   [[nodiscard]] MailBarrier mail_round();
 
   // --- engine-side interface (not for machine programs) ---------------------
-  void engine_deliver(std::vector<Envelope> delivered);
-  [[nodiscard]] std::vector<Envelope> engine_take_outbox();
+  /// Moves `delivered` into the mailbox and clears it (keeping its capacity).
+  void engine_deliver(std::vector<Envelope>& delivered);
+  /// This round's sends; the engine hands them to the network and clears it.
+  [[nodiscard]] std::vector<Envelope>& engine_outbox() { return outbox_; }
   void engine_set_round(std::uint64_t round) { round_ = round; }
   void engine_set_resume(std::coroutine_handle<> h, bool wait_for_mail = false) {
     resume_point_ = h;
@@ -104,18 +104,28 @@ public:
   [[nodiscard]] bool engine_mail_parked() const { return mail_wait_; }
 
 private:
+  /// Takes the first live mailbox message satisfying `match`.
+  template <typename Match>
+  std::optional<Envelope> take_first(Match match);
+
   MachineId id_;
   std::uint32_t world_;
   Rng rng_;
   std::uint64_t round_ = 0;
-  std::deque<Envelope> mailbox_;
-  /// At-most-once delivery: sequence numbers already seen, per source.
-  /// Senders stamp a monotone per-link seq, so a network-level duplicate
-  /// (fault injection) is suppressed here — it still burned link bandwidth
-  /// in transit, but machine programs never observe a spurious repeat.
-  /// A set (not a high-water mark) because delayed messages may legally
-  /// arrive out of seq order.
-  std::vector<std::unordered_set<std::uint64_t>> seen_seq_;
+  /// Delivered messages in arrival order.  A taken one stays in place,
+  /// marked by src = kNoMachine and skipped by every scan, until all are
+  /// taken and the vector is cleared, so out-of-order takes shift nothing.
+  std::vector<Envelope> mailbox_;
+  std::size_t mailbox_head_ = 0;  ///< every message before it is taken
+  std::size_t mailbox_live_ = 0;  ///< messages not yet taken
+  /// At-most-once delivery: the seq of the last message delivered from each
+  /// source (empty until the first delivery).  A network-level duplicate
+  /// (fault injection) is queued directly behind its original on the same
+  /// link FIFO and links only append, so the copy is always the next
+  /// message this machine gets from that source: it still burned link
+  /// bandwidth in transit, but machine programs never observe it.  Delayed
+  /// messages may arrive out of seq order, so a high-water mark would not do.
+  std::vector<std::uint64_t> last_seq_;
   std::vector<Envelope> outbox_;
   std::coroutine_handle<> resume_point_ = nullptr;
   bool mail_wait_ = false;     ///< parked on a MailBarrier

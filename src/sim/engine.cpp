@@ -58,7 +58,7 @@ RunReport Engine::run(const MachineProgram& program) {
     network_->set_current_round(round);
     for (MachineId i = 0; i < k; ++i) {
       ctxs[i]->engine_set_round(round);
-      ctxs[i]->engine_deliver(network_->collect_delivered(i));
+      ctxs[i]->engine_deliver(network_->delivered(i));
     }
 
     // (2) Superstep: resume every runnable machine until it parks or
@@ -130,7 +130,9 @@ RunReport Engine::run(const MachineProgram& program) {
 
     // (4) Outboxes into the link model, ascending machine id (determinism).
     for (MachineId i = 0; i < k; ++i) {
-      for (auto& env : ctxs[i]->engine_take_outbox()) network_->send(std::move(env));
+      std::vector<Envelope>& outbox = ctxs[i]->engine_outbox();
+      for (auto& env : outbox) network_->send(std::move(env));
+      outbox.clear();
     }
 
     // (5) Transmit B bits per directed link.

@@ -510,6 +510,131 @@ TEST(FaultPlan, DuplicatesAreInvisibleToPrograms) {
   for (const std::size_t c : counts) EXPECT_EQ(c, 3u);
 }
 
+/// One message as a program took it from its mailbox.
+struct Receipt {
+  MachineId src = kNoMachine;
+  std::uint32_t index = 0;  ///< the sender's send order on this link
+  std::uint64_t sent_round = 0;
+  std::uint64_t taken_round = 0;
+};
+
+constexpr Tag kExchangeTag = 11;
+
+/// Every machine sends `per_link` messages to every peer, one per round,
+/// each naming its sender and send index (padded to `payload_words` u32s),
+/// and takes its mail every round into `log` until it holds all of them
+/// and `drain_rounds` more rounds have passed (so a leaked copy shows).
+Task<void> exchange_program(Ctx& ctx, std::vector<std::vector<Receipt>>* log,
+                            std::uint32_t per_link, std::size_t payload_words,
+                            std::uint64_t drain_rounds) {
+  auto& mine = (*log)[ctx.id()];
+  auto take_mail = [&] {
+    while (auto env = ctx.try_take(kExchangeTag)) {
+      const auto words = from_bytes<std::vector<std::uint32_t>>(env->payload);
+      mine.push_back(Receipt{env->src, words.at(1), env->sent_round, ctx.current_round()});
+    }
+  };
+  const std::size_t expected = static_cast<std::size_t>(ctx.world() - 1) * per_link;
+  for (std::uint32_t i = 0; i < per_link; ++i) {
+    for (MachineId m = 0; m < ctx.world(); ++m) {
+      std::vector<std::uint32_t> words(payload_words, 0);
+      words[0] = ctx.id();
+      words[1] = i;
+      if (m != ctx.id()) ctx.send_value(m, kExchangeTag, words);
+    }
+    take_mail();
+    co_await ctx.round();
+  }
+  while (mine.size() < expected) {
+    take_mail();
+    if (mine.size() < expected) co_await ctx.round();
+  }
+  for (std::uint64_t r = 0; r < drain_rounds; ++r) {
+    co_await ctx.round();
+    take_mail();
+  }
+}
+
+/// Each receiver took every (src, index) exactly once, and each sender's
+/// messages for which `on_time` holds in send order.  Returns how many
+/// receipts arrived behind a later-sent message from the same sender.
+template <typename OnTime>
+std::size_t expect_exactly_once(const std::vector<std::vector<Receipt>>& log,
+                                std::uint32_t per_link, OnTime on_time) {
+  std::size_t overtaken = 0;
+  for (MachineId dst = 0; dst < log.size(); ++dst) {
+    std::multiset<std::pair<MachineId, std::uint32_t>> seen;
+    for (const Receipt& r : log[dst]) seen.emplace(r.src, r.index);
+    std::multiset<std::pair<MachineId, std::uint32_t>> want;
+    for (MachineId src = 0; src < log.size(); ++src) {
+      for (std::uint32_t i = 0; src != dst && i < per_link; ++i) want.emplace(src, i);
+    }
+    EXPECT_EQ(seen, want) << "receiver " << dst;
+    for (MachineId src = 0; src < log.size(); ++src) {
+      std::int64_t last_on_time = -1;
+      std::int64_t highest = -1;
+      for (const Receipt& r : log[dst]) {
+        if (r.src != src) continue;
+        if (static_cast<std::int64_t>(r.index) < highest) ++overtaken;
+        highest = std::max<std::int64_t>(highest, r.index);
+        if (!on_time(r)) continue;
+        EXPECT_GT(static_cast<std::int64_t>(r.index), last_on_time)
+            << "receiver " << dst << " source " << src;
+        last_on_time = r.index;
+      }
+    }
+  }
+  return overtaken;
+}
+
+TEST(FaultPlan, DuplicatesSuppressedExactlyUnderChunkingAndDelay) {
+  constexpr std::uint32_t kMachines = 4;
+  constexpr std::uint32_t kPerLink = 6;
+  {
+    // Chunked: a 25-byte payload takes 4 rounds of a 64-bit link, so a copy
+    // lands rounds after its original, in a later delivery batch.
+    EngineConfig config;
+    config.world_size = kMachines;
+    config.bandwidth = BandwidthPolicy::Chunked;
+    config.bits_per_round = 64;
+    config.measure_compute = false;
+    config.max_rounds = 512;
+    Engine engine(config);
+    FaultPlan plan;
+    plan.duplicate_probability = 0.5;
+    FaultInjector injector(engine.network(), plan, 3);
+    std::vector<std::vector<Receipt>> log(kMachines);
+    ASSERT_NO_THROW((void)engine.run(
+        [&log](Ctx& ctx) { return exchange_program(ctx, &log, kPerLink, 6, 8); }));
+    EXPECT_GT(injector.duplicates(), 0u);
+    EXPECT_EQ(expect_exactly_once(log, kPerLink, [](const Receipt&) { return true; }), 0u);
+  }
+  {
+    // Delay + duplicate: a delayed message enters its link two rounds late,
+    // behind messages sent after it, while copies still sit right behind
+    // their originals.  Under Unlimited a message on time arrives the round
+    // after it was sent.
+    EngineConfig config;
+    config.world_size = kMachines;
+    config.measure_compute = false;
+    config.max_rounds = 512;
+    Engine engine(config);
+    FaultPlan plan;
+    plan.delay_probability = 0.4;
+    plan.delay_rounds = 2;
+    plan.duplicate_probability = 0.4;
+    FaultInjector injector(engine.network(), plan, 5);
+    std::vector<std::vector<Receipt>> log(kMachines);
+    ASSERT_NO_THROW((void)engine.run(
+        [&log](Ctx& ctx) { return exchange_program(ctx, &log, kPerLink, 2, 8); }));
+    EXPECT_GT(injector.delays(), 0u);
+    EXPECT_GT(injector.duplicates(), 0u);
+    const std::size_t overtaken = expect_exactly_once(
+        log, kPerLink, [](const Receipt& r) { return r.taken_round == r.sent_round + 1; });
+    EXPECT_GT(overtaken, 0u) << "no delayed message arrived behind a later-sent one";
+  }
+}
+
 // --- elections under faults: agreement or a typed error, never a hang --------
 
 Task<void> fault_min_id_program(Ctx& ctx, std::vector<ElectionOutcome>* outcomes) {

@@ -65,9 +65,14 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& param_info) {
       // NOTE: no structured bindings here — commas inside [] are not
       // protected from the INSTANTIATE macro's argument splitting.
-      std::string name = "n" + std::to_string(std::get<0>(param_info.param)) + "_k" +
-                         std::to_string(std::get<1>(param_info.param)) + "_" +
-                         partition_scheme_name(std::get<2>(param_info.param));
+      // Built with += steps: chained operator+ trips GCC 12's -Wrestrict
+      // false positive.
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_k";
+      name += std::to_string(std::get<1>(param_info.param));
+      name += "_";
+      name += partition_scheme_name(std::get<2>(param_info.param));
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });

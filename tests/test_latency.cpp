@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "bench/latency.hpp"
@@ -136,6 +138,18 @@ TEST(Latency, EmptyInputIsAllZero) {
   EXPECT_EQ(s.p999_ms, 0.0);
   EXPECT_EQ(percentile_nearest_rank(empty, 0.99), 0.0);
   EXPECT_EQ(percentile_interpolated(empty, 0.99), 0.0);
+}
+
+TEST(Latency, NanPercentileIsNan) {
+  // A NaN p passes both range checks; it must not reach the float-to-index
+  // cast (undefined behaviour), so it yields NaN on any non-empty sample.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> one = {7.25};
+  const std::vector<double> four = {10.0, 20.0, 30.0, 40.0};
+  EXPECT_TRUE(std::isnan(percentile_nearest_rank(one, nan)));
+  EXPECT_TRUE(std::isnan(percentile_nearest_rank(four, nan)));
+  EXPECT_TRUE(std::isnan(percentile_interpolated(one, nan)));
+  EXPECT_TRUE(std::isnan(percentile_interpolated(four, nan)));
 }
 
 }  // namespace

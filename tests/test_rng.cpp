@@ -272,6 +272,34 @@ TEST(Sampling, OverdrawThrows) {
   EXPECT_THROW((void)sample_indices_without_replacement(5, 6, rng), InvariantError);
 }
 
+TEST(Sampling, KnownAnswers) {
+  // Pins the draw order: Algorithm 2's samples (and the thm24 bench's
+  // ℓ ≥ 64 rows) depend on it.  One stream across the cases, so each case
+  // also pins how many draws the previous one consumed.
+  Rng rng(2020);
+  EXPECT_EQ(sample_indices_without_replacement(16, 16, rng),
+            (std::vector<std::size_t>{2, 5, 13, 3, 10, 4, 6, 11, 8, 0, 15, 7, 14, 12, 9, 1}));
+  EXPECT_EQ(sample_indices_without_replacement(64, 50, rng),
+            (std::vector<std::size_t>{39, 12, 17, 2,  5,  30, 49, 61, 3,  22, 9,  48, 47,
+                                      41, 40, 59, 43, 21, 1,  56, 54, 53, 7,  36, 44, 28,
+                                      32, 50, 42, 38, 58, 57, 45, 19, 13, 16, 11, 20, 33,
+                                      0,  27, 8,  6,  24, 60, 51, 26, 25, 23, 4}));
+  EXPECT_EQ(sample_indices_without_replacement(100, 30, rng),
+            (std::vector<std::size_t>{43, 17, 40, 63, 27, 32, 21, 99, 19, 45, 2,  20, 38, 12, 14,
+                                      34, 26, 53, 58, 57, 36, 97, 23, 8,  49, 83, 48, 42, 81, 18}));
+  EXPECT_EQ(sample_indices_without_replacement(std::size_t{1} << 20, 64, rng),
+            (std::vector<std::size_t>{
+                774192, 289758, 734559, 407688,  730567, 43356,  566370, 269464,
+                915119, 489609, 629762, 43745,   75460,  141348, 179130, 185207,
+                262147, 605874, 659906, 235739,  688275, 347502, 330608, 1005563,
+                220358, 231171, 432790, 850121,  869775, 713827, 585154, 632183,
+                1031212, 792730, 661028, 87144,  568712, 88445,  84252,  528798,
+                86223,  107652, 672851, 814378,  219841, 195555, 545928, 401994,
+                423223, 175610, 493398, 111538,  242205, 339507, 1020876, 521734,
+                707138, 584222, 530304, 1008327, 445702, 40942,  710677, 121808}));
+  EXPECT_EQ(rng.next_u64(), 8493015884479858059ULL);
+}
+
 TEST(Sampling, MarginalsAreUniform) {
   // Each element of [0, 20) should appear in a 5-sample with prob 1/4.
   Rng rng(26);
