@@ -12,8 +12,7 @@ invariants:
      `le="+Inf"`, and whose +Inf bucket equals `_count`; `_sum` must be
      consistent (zero iff count is zero for nonneg-valued series).
   3. Reconciliation — the facade's counters move together by construction:
-     cache_hits + cache_misses == queries, at both the service and the
-     front-end layer (front-end adds degraded_queries to the ledger).
+     cache_hits + cache_misses == queries.
 
 Exit 0 on success, 1 with a message on any violation.
 
@@ -25,7 +24,7 @@ import sys
 # Every counter/gauge the instrumented layers register at first use on the
 # serve_loop smoke path (facade + stores + result caches).  Families owned
 # by config-dependent subsystems — the scoring ThreadPool, background
-# Compactors, QueryFrontEnd, MachineHealth — register only when those
+# Compactors, MachineHealth — register only when those
 # objects exist, so they are validated when present rather than required.
 # Histograms are listed separately: their exposition is the
 # _bucket/_count/_sum triple, not a bare sample.
@@ -166,18 +165,6 @@ def main():
              f"queries {queries}")
     if queries <= 0:
         fail("dknn_service_queries_total is zero — did the smoke run serve?")
-
-    # The front end only registers on runs that drive QueryFrontEnd directly;
-    # when present, its ledger must balance too (degraded queries bypass the
-    # cache but still count as served).
-    fe_queries = samples.get("dknn_frontend_queries_total")
-    if fe_queries is not None:
-        fe_hits = samples.get("dknn_frontend_cache_hits_total", 0)
-        fe_misses = samples.get("dknn_frontend_cache_misses_total", 0)
-        fe_degraded = samples.get("dknn_frontend_degraded_queries_total", 0)
-        if fe_hits + fe_misses + fe_degraded != fe_queries:
-            fail(f"front-end ledger drift: hits {fe_hits} + misses {fe_misses} "
-                 f"+ degraded {fe_degraded} != queries {fe_queries}")
 
     print(f"metrics schema check OK: {len(REQUIRED_COUNTERS)} required "
           f"counters, {len(REQUIRED_GAUGES)} gauges, {histograms} histograms "

@@ -336,32 +336,38 @@ void BM_HybridTopEllBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HybridTopEllBatch)->Args({1 << 16, 8, 64, 32})->Args({1 << 16, 3, 64, 32});
 
-void BM_KdTreeBuild(benchmark::State& state) {
+/// Range-leaf kd-tree build (reordered SoA store + boxes).
+void BM_KdRangeIndexBuild(benchmark::State& state) {
   Rng rng(3);
   const auto points = uniform_points(static_cast<std::size_t>(state.range(0)), 3, 100.0, rng);
   const auto ids = assign_random_ids(points.size(), rng);
   for (auto _ : state) {
-    KdTree tree(points, ids);
-    benchmark::DoNotOptimize(tree);
+    KdRangeIndex index(points, ids);
+    benchmark::DoNotOptimize(index);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_KdTreeBuild)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_KdRangeIndexBuild)->Arg(1 << 12)->Arg(1 << 16);
 
-void BM_KdTreeQuery(benchmark::State& state) {
+/// One query at a time through the kd-hybrid, Euclidean — the tree's row
+/// beside BM_BruteForceQuery at the same sizes.
+void BM_HybridSingleQuery(benchmark::State& state) {
   Rng rng(4);
   const auto points = uniform_points(static_cast<std::size_t>(state.range(0)), 3, 100.0, rng);
   const auto ids = assign_random_ids(points.size(), rng);
-  const KdTree tree(points, ids);
+  const KdRangeIndex index(points, ids);
   const auto queries = uniform_points(64, 3, 100.0, rng);
   const auto ell = static_cast<std::size_t>(state.range(1));
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> out;
   std::size_t q = 0;
   for (auto _ : state) {
-    auto out = tree.knn(queries[q++ % queries.size()], ell);
+    hybrid_top_ell_batch(index, std::span<const PointD>(&queries[q++ % queries.size()], 1), ell,
+                         MetricKind::Euclidean, out, scratch);
     benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_KdTreeQuery)->Args({1 << 16, 8})->Args({1 << 16, 256});
+BENCHMARK(BM_HybridSingleQuery)->Args({1 << 16, 8})->Args({1 << 16, 256});
 
 void BM_BruteForceQuery(benchmark::State& state) {
   Rng rng(5);

@@ -1,32 +1,37 @@
 // bench_serve — live-serving throughput and latency percentiles.
 //
-// The serving analogue of bench_micro_kernels' BENCH_kernels.json: a
-// SegmentStore under churn (inserts + deletes interleaved with traffic,
-// background compaction on the pool) answering queries through the
-// dynamic-batching QueryFrontEnd.  With --json=PATH it times the canonical
-// workload (100k resident points, d=8, ℓ=64, skewed 64-point query pool)
-// and writes BENCH_serve.json: queries/sec, p50/p95/p99 latency, cache hit
-// rate, and compaction debt.
+// The serving analogue of bench_micro_kernels' BENCH_kernels.json: the
+// KnnService facade in live mode under churn (inserts + erases interleaved
+// with traffic, periodic compaction) answering queries.  With --json=PATH
+// it times the canonical workload (100k resident points, d=8, ℓ=64, skewed
+// 64-point query pool) and writes BENCH_serve.json: queries/sec,
+// p50/p95/p99 latency, cache hit rate, and compaction debt.
 //
-// Row conventions match BENCH_kernels.json: the `concurrent` stanza
-// (multi-threaded closed-loop submitters, where micro-batching actually
-// coalesces) is recorded as JSON null on fewer than 4 hardware threads —
-// measuring scheduler thrash on a 1-core box would pollute the perf
-// trajectory; the single-threaded `serial` stanza is always measured.
-// The `facade` stanza runs the same workload through the KnnService front
-// door (live mode, 1 machine, result cache on): snapshot scoring + the
-// full selection protocol per cache miss — the price and the payoff of
-// the unified API, tracked so facade regressions fail loudly.  The
-// `degraded` stanza shards the same workload over four machines, kills
-// one, and serves on: every answer is exact over the survivors at
-// coverage 3/4, and the row tracks what guarded scoring + health probes
-// cost relative to the healthy facade row.  The `facade_concurrent`
-// stanza (JSON null below 4 hardware threads, like `concurrent`) runs
-// four closed-loop submitters through service.query() — the facade's
-// coalescing seat — while the main thread churns inserts/erases and
-// compaction against them: the lock-free snapshot read path means the
-// mutators never block the submitters, and this row is where a
-// reintroduced service-wide query lock would show up as a cliff.
+// Stanzas (every one a live service, result cache on, serial scoring):
+//   facade             one closed-loop submitter against one machine:
+//                      snapshot scoring plus the full selection protocol
+//                      per cache miss, one insert + erase every
+//                      --churn-every queries and a compaction every 64th
+//                      churn step.
+//   facade_concurrent  four closed-loop submitters through service.query()
+//                      — the coalescing seat — while the main thread churns
+//                      inserts/erases and compaction against them.  The
+//                      lock-free snapshot read path means the mutators
+//                      never block the submitters; a reintroduced
+//                      service-wide query lock would show up here as a
+//                      cliff.  JSON null below 4 hardware threads:
+//                      measuring scheduler thrash on a small box would
+//                      pollute the perf trajectory.
+//   degraded           the facade row's workload and churn sharded over four
+//                      machines with one dead: every answer is exact over
+//                      the survivors at coverage 3/4, and an erase of a dead
+//                      machine's point is pended.  Its latency includes the
+//                      four-machine protocol, not only guarded scoring and
+//                      health probes; its cache hit rate is comparable with
+//                      the facade row's.
+//   obs_overhead       the facade row with the metrics registry off vs on.
+//   compaction         the facade row's compaction installs and its debt
+//                      before and after the run.
 //
 //   ./bench_serve [--json=BENCH_serve.json] [--n=100000] [--dim=8] [--ell=64]
 //                 [--queries=2000] [--churn-every=4] [--seed=3]
@@ -45,10 +50,6 @@
 #include "data/generators.hpp"
 #include "data/simd/dispatch.hpp"
 #include "obs/metrics.hpp"
-#include "serve/compactor.hpp"
-#include "serve/front_end.hpp"
-#include "serve/segment_store.hpp"
-#include "sim/thread_pool.hpp"
 #include "support/cli.hpp"
 #include "support/timer.hpp"
 
@@ -83,180 +84,110 @@ struct Workload {
   std::size_t dim = 8;
   std::size_t ell = 64;
   std::size_t queries = 2000;
-  std::size_t churn_every = 4;  ///< one insert+delete pair per this many queries
+  std::size_t churn_every = 4;  ///< one insert+erase pair per this many queries
   std::uint64_t seed = 3;
 };
 
-/// One serving setup: loaded store + compactor + front end + query pool.
-struct Rig {
-  SegmentStore store;
-  ThreadPool pool;
-  Compactor compactor;
-  QueryFrontEnd front_end;
-  std::vector<PointD> query_pool;
-  std::vector<PointId> live;
-  PointId next_id = 0;
-  Rng rng;
+/// The live service every stanza serves from.  seal_threshold 256 so churn
+/// seals segments mid-run, and min_segment_points 1024 so compaction has
+/// real merges to do — the rows report maintenance under load, not a
+/// frozen store.  Serial scoring (threads = 1) keeps the rows comparable
+/// on any core count.  Draws the dataset from `rng`.
+KnnServiceBuilder serve_builder(const Workload& w, std::uint32_t machines, Rng& rng) {
+  KnnServiceBuilder builder;
+  builder.machines(machines)
+      .ell(w.ell)
+      .live(ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto})
+      .compaction(CompactionConfig{.max_dead_fraction = 0.2, .min_segment_points = 1024})
+      .cache_capacity(4096)
+      .scoring(BatchScoringConfig{.threads = 1})
+      .seed(w.seed)
+      .dataset(uniform_points(w.n, w.dim, 100.0, rng));
+  return builder;
+}
 
-  // `coalesce_delay` is the front end's max_delay: the concurrent stanza
-  // keeps a real window so micro-batching can coalesce submitters; the
-  // serial stanza MUST pass zero — a one-thread closed loop never gets
-  // company, so any positive delay just adds a fixed sleep to every row.
-  Rig(const Workload& w, std::chrono::microseconds coalesce_delay)
-      // seal_threshold 256 so churn actually seals segments mid-run and
-      // min_segment_points 1024 then gives the compactor real merges to do
-      // — the stanza reports maintenance under load, not a frozen store.
-      : store(w.dim, ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto}),
-        pool(2),
-        compactor(store, pool,
-                  CompactionConfig{.max_dead_fraction = 0.2, .min_segment_points = 1024}),
-        front_end(store, FrontEndConfig{.ell = w.ell, .kind = MetricKind::SquaredEuclidean,
-                                        .max_delay = coalesce_delay}),
-        rng(w.seed) {
-    const auto points = uniform_points(w.n, w.dim, 100.0, rng);
-    live.reserve(w.n);
-    for (std::size_t i = 0; i < w.n; ++i) live.push_back(i + 1);
-    store.insert_batch(points, live);
-    store.seal();
-    next_id = w.n + 1;
-    query_pool = uniform_points(64, w.dim, 100.0, rng);
+/// One unit of churn: a fresh point arrives, a random live one expires.
+/// The builder assigned the resident ids; live_ids() recovers them so churn
+/// expires resident points, and contains() guards fresh mints.
+class Churn {
+ public:
+  explicit Churn(const KnnService& service) : live_(service.live_ids()) {}
+
+  void step(KnnService& service, std::size_t dim, Rng& rng) {
+    while (service.contains(next_id_)) ++next_id_;
+    service.insert(uniform_points(1, dim, 100.0, rng)[0], next_id_);
+    live_.push_back(next_id_++);
+    const std::size_t victim = rng.below(live_.size());
+    (void)service.erase(live_[victim]);
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(victim));
   }
 
-  /// One unit of churn: a point arrives, another expires.
-  void churn() {
-    store.insert(uniform_points(1, store.dim(), 100.0, rng)[0], next_id);
-    live.push_back(next_id++);
-    const std::size_t victim = rng.below(live.size());
-    (void)store.erase(live[victim]);
-    live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-  }
+ private:
+  std::vector<PointId> live_;
+  PointId next_id_ = 1;
 };
 
-/// Single-threaded closed loop: every query timed individually, churn
-/// interleaved, compaction polled.
-LatencyStats run_serial(Rig& rig, const Workload& w, std::uint64_t* debt_before) {
-  Rng traffic(w.seed + 1);
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(w.queries);
-  *debt_before = rig.compactor.debt();
-  const WallTimer total;
-  for (std::size_t q = 0; q < w.queries; ++q) {
-    if (w.churn_every != 0 && q % w.churn_every == 0) {
-      rig.churn();
-      rig.compactor.maybe_schedule();
-    }
-    const PointD& query = rig.query_pool[traffic.below(rig.query_pool.size())];
-    const WallTimer timer;
-    const auto result = rig.front_end.query(query);
-    latencies_ms.push_back(ns_to_ms(timer.elapsed_ns()));
-    if (result.keys.empty()) std::fprintf(stderr, "empty answer?!\n");
-  }
-  const double total_sec = total.elapsed_sec();
-  rig.compactor.drain();
-  return latency_stats(std::move(latencies_ms), total_sec);
-}
+/// What a single-submitter run reports besides its latencies.
+struct FacadeRun {
+  LatencyStats latency;
+  double hit_rate = 0.0;
+  double coverage = 1.0;  ///< the last answer's
+  std::uint64_t debt_before = 0;
+  std::uint64_t debt_after = 0;
+  std::uint64_t installs = 0;  ///< compaction installs during the run
+};
 
-/// Multi-threaded closed loop: kSubmitters threads hammer query() so the
-/// leader-follower micro-batching actually coalesces.  Only meaningful
-/// with enough hardware threads (see the null-row convention above).
-std::optional<LatencyStats> run_concurrent(Rig& rig, const Workload& w,
-                                           std::size_t hardware_threads) {
-  if (hardware_threads < 4) return std::nullopt;
-  constexpr std::size_t kSubmitters = 4;
-  const std::size_t per_thread = w.queries / kSubmitters;
-  std::vector<std::vector<double>> latencies(kSubmitters);
-  std::vector<std::thread> threads;
-  const WallTimer total;
-  for (std::size_t t = 0; t < kSubmitters; ++t) {
-    threads.emplace_back([&rig, &latencies, w, t, per_thread] {
-      Rng traffic(w.seed + 100 + t);
-      latencies[t].reserve(per_thread);
-      for (std::size_t q = 0; q < per_thread; ++q) {
-        const PointD& query = rig.query_pool[traffic.below(rig.query_pool.size())];
-        const WallTimer timer;
-        const auto result = rig.front_end.query(query);
-        latencies[t].push_back(ns_to_ms(timer.elapsed_ns()));
-        if (result.keys.empty()) std::fprintf(stderr, "empty answer?!\n");
-      }
-    });
-  }
-  // Churn rides the main thread while submitters run.
-  for (std::size_t c = 0; c < w.queries / std::max<std::size_t>(1, w.churn_every); ++c) {
-    rig.churn();
-    rig.compactor.maybe_schedule();
-  }
-  for (auto& thread : threads) thread.join();
-  const double total_sec = total.elapsed_sec();
-  rig.compactor.drain();
-  std::vector<double> merged;
-  for (auto& part : latencies) merged.insert(merged.end(), part.begin(), part.end());
-  return latency_stats(std::move(merged), total_sec);
-}
-
-/// The same workload through the KnnService facade (live mode, one
-/// machine): every query runs the full pipeline — snapshot scoring plus
-/// the distributed selection protocol — behind the facade's epoch-keyed
-/// result cache.  This row tracks what the one-front-door API costs over
-/// the raw QueryFrontEnd serial row (protocol + engine setup per miss;
-/// hits are cache-speed), so facade regressions show up in the JSON.
-LatencyStats run_facade(const Workload& w, double* hit_rate, std::uint64_t* debt_after) {
+/// One closed-loop submitter, every query timed, churn interleaved.  The
+/// healthy run serves one machine; `degraded` shards the same workload
+/// over four fault-tolerant machines and kills the last before traffic
+/// starts.
+FacadeRun run_facade(const Workload& w, bool degraded) {
+  constexpr std::uint32_t kDegradedMachines = 4;
   Rng rng(w.seed);
-  // Serial scoring pinned (threads = 1): this row is compared against the
-  // single-threaded front-end stanza, so it must not quietly go parallel
-  // on a multicore box.
-  KnnService service =
-      KnnServiceBuilder()
-          .machines(1)
-          .ell(w.ell)
-          .live(ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto})
-          .compaction(CompactionConfig{.max_dead_fraction = 0.2, .min_segment_points = 1024})
-          .cache_capacity(4096)
-          .scoring(BatchScoringConfig{.threads = 1})
-          .seed(w.seed)
-          .dataset(uniform_points(w.n, w.dim, 100.0, rng))
-          .build();
-  // The builder assigned the resident ids; live_ids() recovers them so
-  // churn expires resident points, and contains() guards fresh mints.
-  std::vector<PointId> live = service.live_ids();
-  PointId next_id = 1;
+  KnnServiceBuilder builder = serve_builder(w, degraded ? kDegradedMachines : 1, rng);
+  if (degraded) builder.fault_tolerant();
+  KnnService service = builder.build();
+  if (degraded) service.kill_machine(kDegradedMachines - 1);
+  Churn churn(service);
   const auto query_pool = uniform_points(64, w.dim, 100.0, rng);
+  obs::Counter& installs = obs::registry().counter("dknn_store_compaction_installs_total");
 
+  FacadeRun run;
+  run.debt_before = service.compaction_debt();
+  const std::uint64_t installs_before = installs.value();
   Rng traffic(w.seed + 1);
   std::vector<double> latencies_ms;
   latencies_ms.reserve(w.queries);
   const WallTimer total;
   for (std::size_t q = 0; q < w.queries; ++q) {
     if (w.churn_every != 0 && q % w.churn_every == 0) {
-      while (service.contains(next_id)) ++next_id;
-      service.insert(uniform_points(1, w.dim, 100.0, rng)[0], next_id);
-      live.push_back(next_id++);
-      const std::size_t victim = rng.below(live.size());
-      (void)service.erase(live[victim]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      churn.step(service, w.dim, rng);
       if (q % (w.churn_every * 64) == 0) (void)service.compact_now();
     }
     const PointD& query = query_pool[traffic.below(query_pool.size())];
     const WallTimer timer;
     const auto result = service.query(query);
     latencies_ms.push_back(ns_to_ms(timer.elapsed_ns()));
+    run.coverage = result.coverage.fraction();
     if (result.keys.empty()) std::fprintf(stderr, "empty facade answer?!\n");
   }
   const double total_sec = total.elapsed_sec();
   const auto stats = service.stats();
-  *hit_rate = stats.queries == 0 ? 0.0
-                                 : static_cast<double>(stats.cache_hits) /
-                                       static_cast<double>(stats.queries);
-  *debt_after = service.compaction_debt();
-  return latency_stats(std::move(latencies_ms), total_sec);
+  run.hit_rate = stats.queries == 0 ? 0.0
+                                    : static_cast<double>(stats.cache_hits) /
+                                          static_cast<double>(stats.queries);
+  run.debt_after = service.compaction_debt();
+  run.installs = installs.value() - installs_before;
+  run.latency = latency_stats(std::move(latencies_ms), total_sec);
+  return run;
 }
 
 /// The facade under real read concurrency: four closed-loop submitters
 /// through service.query() (the coalescing seat) while the main thread
 /// churns inserts/erases and compaction against them.  Queries take no
 /// service-wide lock — they score against published snapshots — so the
-/// mutator thread never stalls the submitters; compare against the serial
-/// `facade` row for the concurrency payoff.  Null below 4 hardware
-/// threads, same convention as the `concurrent` stanza.
+/// mutator thread never stalls the submitters; compare against the
+/// single-submitter `facade` row for the concurrency payoff.
 std::optional<LatencyStats> run_facade_concurrent(const Workload& w,
                                                   std::size_t hardware_threads,
                                                   double* hit_rate, std::uint64_t* batches) {
@@ -264,19 +195,8 @@ std::optional<LatencyStats> run_facade_concurrent(const Workload& w,
   constexpr std::size_t kSubmitters = 4;
   Rng rng(w.seed);
   KnnService service =
-      KnnServiceBuilder()
-          .machines(1)
-          .ell(w.ell)
-          .live(ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto})
-          .compaction(CompactionConfig{.max_dead_fraction = 0.2, .min_segment_points = 1024})
-          .cache_capacity(4096)
-          .scoring(BatchScoringConfig{.threads = 1})
-          .coalesce(32, std::chrono::microseconds{200})
-          .seed(w.seed)
-          .dataset(uniform_points(w.n, w.dim, 100.0, rng))
-          .build();
-  std::vector<PointId> live = service.live_ids();
-  PointId next_id = 1;
+      serve_builder(w, 1, rng).coalesce(32, std::chrono::microseconds{200}).build();
+  Churn churn(service);
   const auto query_pool = uniform_points(64, w.dim, 100.0, rng);
 
   const std::size_t per_thread = w.queries / kSubmitters;
@@ -300,12 +220,7 @@ std::optional<LatencyStats> run_facade_concurrent(const Workload& w,
   // periodic compaction race the lock-free readers.
   const std::size_t churn_ops = w.queries / std::max<std::size_t>(1, w.churn_every);
   for (std::size_t c = 0; c < churn_ops; ++c) {
-    while (service.contains(next_id)) ++next_id;
-    service.insert(uniform_points(1, w.dim, 100.0, rng)[0], next_id);
-    live.push_back(next_id++);
-    const std::size_t victim = rng.below(live.size());
-    (void)service.erase(live[victim]);
-    live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    churn.step(service, w.dim, rng);
     if (c % 64 == 0) (void)service.maybe_compact();
   }
   for (auto& thread : threads) thread.join();
@@ -318,44 +233,6 @@ std::optional<LatencyStats> run_facade_concurrent(const Workload& w,
   std::vector<double> merged;
   for (auto& part : latencies) merged.insert(merged.end(), part.begin(), part.end());
   return latency_stats(std::move(merged), total_sec);
-}
-
-/// Degraded serving: the facade workload sharded over four machines with
-/// one of them dead.  Every answer is exact over the three survivors and
-/// carries coverage 3/4; the row tracks what the guarded scoring path and
-/// the health probes cost relative to the healthy facade stanza.
-LatencyStats run_degraded(const Workload& w, double* coverage) {
-  Rng rng(w.seed);
-  constexpr std::uint32_t kMachines = 4;
-  KnnService service =
-      KnnServiceBuilder()
-          .machines(kMachines)
-          .ell(w.ell)
-          .live(ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto})
-          .cache_capacity(4096)
-          .scoring(BatchScoringConfig{.threads = 1})
-          .fault_tolerant()
-          .seed(w.seed)
-          .dataset(uniform_points(w.n, w.dim, 100.0, rng))
-          .build();
-  service.kill_machine(kMachines - 1);
-  const auto query_pool = uniform_points(64, w.dim, 100.0, rng);
-
-  Rng traffic(w.seed + 1);
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(w.queries);
-  *coverage = 1.0;
-  const WallTimer total;
-  for (std::size_t q = 0; q < w.queries; ++q) {
-    const PointD& query = query_pool[traffic.below(query_pool.size())];
-    const WallTimer timer;
-    const auto result = service.query(query);
-    latencies_ms.push_back(ns_to_ms(timer.elapsed_ns()));
-    *coverage = result.coverage.fraction();
-    if (result.keys.empty()) std::fprintf(stderr, "empty degraded answer?!\n");
-  }
-  const double total_sec = total.elapsed_sec();
-  return latency_stats(std::move(latencies_ms), total_sec);
 }
 
 void write_latency(std::FILE* f, const char* name, const std::optional<LatencyStats>& stats,
@@ -375,22 +252,7 @@ int emit_json(const std::string& path, const Workload& w) {
   const std::size_t hardware_threads =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
-  // Serial stanza (always measured) — fresh rig.
-  std::uint64_t debt_before = 0;
-  Rig serial_rig(w, std::chrono::microseconds{0});
-  const LatencyStats serial = run_serial(serial_rig, w, &debt_before);
-  const auto serial_fe = serial_rig.front_end.stats();
-  const auto serial_comp = serial_rig.compactor.stats();
-  const double hit_rate =
-      serial_fe.queries == 0
-          ? 0.0
-          : static_cast<double>(serial_fe.cache_hits) / static_cast<double>(serial_fe.queries);
-  const std::uint64_t debt_after = serial_rig.compactor.debt();
-
-  // Facade stanza — the same workload through KnnService (fresh state).
-  double facade_hit_rate = 0.0;
-  std::uint64_t facade_debt = 0;
-  const std::optional<LatencyStats> facade = run_facade(w, &facade_hit_rate, &facade_debt);
+  const FacadeRun facade = run_facade(w, /*degraded=*/false);
 
   // Facade-concurrent stanza — submitters through the coalescing seat vs
   // a churning mutator thread; null below 4 hardware threads.
@@ -403,35 +265,12 @@ int emit_json(const std::string& path, const Workload& w) {
                 hardware_threads);
   }
 
-  // Degraded stanza — the facade over four machines with one dead.
-  double degraded_coverage = 1.0;
-  const std::optional<LatencyStats> degraded = run_degraded(w, &degraded_coverage);
+  const FacadeRun degraded = run_facade(w, /*degraded=*/true);
 
-  // Concurrent stanza — fresh rig so the serial run's cache/compaction
-  // state doesn't leak in; null below 4 hardware threads.
-  std::optional<LatencyStats> concurrent;
-  std::uint64_t concurrent_batches = 0;
-  double concurrent_hit_rate = 0.0;
-  {
-    Rig concurrent_rig(w, std::chrono::microseconds{200});
-    concurrent = run_concurrent(concurrent_rig, w, hardware_threads);
-    if (concurrent.has_value()) {
-      const auto fe = concurrent_rig.front_end.stats();
-      concurrent_batches = fe.batches;
-      concurrent_hit_rate = fe.queries == 0 ? 0.0
-                                            : static_cast<double>(fe.cache_hits) /
-                                                  static_cast<double>(fe.queries);
-    } else {
-      std::printf("concurrent stanza skipped: %zu hardware thread(s) < 4 — coalescing "
-                  "would measure scheduler thrash, not batching\n",
-                  hardware_threads);
-    }
-  }
-
-  // Obs-overhead stanza: the canonical serial workload with the metrics
-  // registry disabled (every instrument = one relaxed load + branch) vs
-  // enabled with trace sampling off (the production configuration).  The
-  // acceptance budget is <= 3% throughput cost; fresh rigs per arm so no
+  // Obs-overhead stanza: the facade row with the metrics registry disabled
+  // (every instrument = one relaxed load + branch) vs enabled with trace
+  // sampling off (the production configuration).  The acceptance budget is
+  // <= 3% throughput cost; every arm builds a fresh service so no
   // cache/compaction state leaks between them.
   double obs_off_qps = 0.0;
   double obs_on_qps = 0.0;
@@ -441,27 +280,18 @@ int emit_json(const std::string& path, const Workload& w) {
     // scheduler jitter, not overhead.
     Workload ow = w;
     ow.queries = std::max<std::size_t>(ow.queries, 2000);
-    std::uint64_t scratch_debt = 0;
     // Discarded warm-up arm: page cache, allocator arenas and branch
     // predictors settle here, so neither measured arm gets the cold start.
     obs::registry().set_enabled(false);
-    {
-      Rig warm_rig(ow, std::chrono::microseconds{0});
-      (void)run_serial(warm_rig, ow, &scratch_debt);
-    }
+    (void)run_facade(ow, /*degraded=*/false);
     // Alternating best-of-3 per arm: run-to-run scheduler noise on shared
     // boxes dwarfs the ~3% budget this stanza polices, and the max of three
     // interleaved reps is the least-perturbed sample of each arm.
     for (int rep = 0; rep < 3; ++rep) {
       obs::registry().set_enabled(false);
-      {
-        Rig off_rig(ow, std::chrono::microseconds{0});
-        obs_off_qps =
-            std::max(obs_off_qps, run_serial(off_rig, ow, &scratch_debt).queries_per_sec);
-      }
+      obs_off_qps = std::max(obs_off_qps, run_facade(ow, false).latency.queries_per_sec);
       obs::registry().set_enabled(true);
-      Rig on_rig(ow, std::chrono::microseconds{0});
-      obs_on_qps = std::max(obs_on_qps, run_serial(on_rig, ow, &scratch_debt).queries_per_sec);
+      obs_on_qps = std::max(obs_on_qps, run_facade(ow, false).latency.queries_per_sec);
     }
   }
   const double obs_overhead =
@@ -482,23 +312,9 @@ int emit_json(const std::string& path, const Workload& w) {
   {
     char extra[160];
     std::snprintf(extra, sizeof extra,
-                  ", \"cache_hit_rate\": %.3f, \"micro_batches\": %" PRIu64, hit_rate,
-                  serial_fe.batches);
-    write_latency(f, "serial", serial, extra, true);
-  }
-  {
-    char extra[160];
-    std::snprintf(extra, sizeof extra,
-                  ", \"cache_hit_rate\": %.3f, \"micro_batches\": %" PRIu64 ", \"submitters\": 4",
-                  concurrent_hit_rate, concurrent_batches);
-    write_latency(f, "concurrent", concurrent, extra, true);
-  }
-  {
-    char extra[160];
-    std::snprintf(extra, sizeof extra,
                   ", \"cache_hit_rate\": %.3f, \"machines\": 1, \"debt_after\": %" PRIu64,
-                  facade_hit_rate, facade_debt);
-    write_latency(f, "facade", facade, extra, true);
+                  facade.hit_rate, facade.debt_after);
+    write_latency(f, "facade", facade.latency, extra, true);
   }
   {
     char extra[160];
@@ -510,9 +326,10 @@ int emit_json(const std::string& path, const Workload& w) {
   }
   {
     char extra[160];
-    std::snprintf(extra, sizeof extra, ", \"machines\": 4, \"dead\": 1, \"coverage\": %.3f",
-                  degraded_coverage);
-    write_latency(f, "degraded", degraded, extra, true);
+    std::snprintf(extra, sizeof extra,
+                  ", \"cache_hit_rate\": %.3f, \"machines\": 4, \"dead\": 1, \"coverage\": %.3f",
+                  degraded.hit_rate, degraded.coverage);
+    write_latency(f, "degraded", degraded.latency, extra, true);
   }
   std::fprintf(f,
                "  \"obs_overhead\": {\"metrics_on_qps\": %.1f, \"metrics_off_qps\": %.1f, "
@@ -520,40 +337,27 @@ int emit_json(const std::string& path, const Workload& w) {
                "0.03},\n",
                obs_on_qps, obs_off_qps, obs_overhead);
   std::fprintf(f,
-               "  \"compaction\": {\"scheduled\": %" PRIu64 ", \"installed\": %" PRIu64
-               ", \"aborted\": %" PRIu64 ", \"debt_before\": %" PRIu64
+               "  \"compaction\": {\"installed\": %" PRIu64 ", \"debt_before\": %" PRIu64
                ", \"debt_after\": %" PRIu64 "}\n}\n",
-               serial_comp.scheduled, serial_comp.installed, serial_comp.aborted, debt_before,
-               debt_after);
+               facade.installs, facade.debt_before, facade.debt_after);
   std::fclose(f);
 
-  std::printf("wrote %s (serial %.0f q/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, "
+  std::printf("wrote %s (facade %.0f q/s, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, "
               "cache hit %.1f%%; ",
-              path.c_str(), serial.queries_per_sec, serial.p50_ms, serial.p95_ms, serial.p99_ms,
-              100.0 * hit_rate);
-  if (concurrent.has_value()) {
-    std::printf("concurrent %.0f q/s p99 %.3f ms; ", concurrent->queries_per_sec,
-                concurrent->p99_ms);
-  } else {
-    std::printf("concurrent skipped @%zu threads; ", hardware_threads);
-  }
-  if (facade.has_value()) {
-    std::printf("facade %.0f q/s p99 %.3f ms cache hit %.1f%%; ", facade->queries_per_sec,
-                facade->p99_ms, 100.0 * facade_hit_rate);
-  }
+              path.c_str(), facade.latency.queries_per_sec, facade.latency.p50_ms,
+              facade.latency.p95_ms, facade.latency.p99_ms, 100.0 * facade.hit_rate);
   if (facade_concurrent.has_value()) {
     std::printf("facade_concurrent %.0f q/s p99 %.3f ms; ",
                 facade_concurrent->queries_per_sec, facade_concurrent->p99_ms);
+  } else {
+    std::printf("facade_concurrent skipped @%zu threads; ", hardware_threads);
   }
-  if (degraded.has_value()) {
-    std::printf("degraded %.0f q/s at coverage %.2f; ", degraded->queries_per_sec,
-                degraded_coverage);
-  }
+  std::printf("degraded %.0f q/s at coverage %.2f, cache hit %.1f%%; ",
+              degraded.latency.queries_per_sec, degraded.coverage, 100.0 * degraded.hit_rate);
   std::printf("obs overhead %.1f%% (on %.0f vs off %.0f q/s); ", 100.0 * obs_overhead,
               obs_on_qps, obs_off_qps);
-  std::printf("compaction %" PRIu64 "/%" PRIu64 " installed, debt %" PRIu64 " -> %" PRIu64
-              ")\n",
-              serial_comp.installed, serial_comp.scheduled, debt_before, debt_after);
+  std::printf("compaction %" PRIu64 " installed, debt %" PRIu64 " -> %" PRIu64 ")\n",
+              facade.installs, facade.debt_before, facade.debt_after);
   return 0;
 }
 
@@ -581,15 +385,13 @@ int main(int argc, char** argv) {
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) return emit_json(json_path, w);
 
-  // No JSON target: run the serial stanza and print it.
-  std::uint64_t debt_before = 0;
-  Rig rig(w, std::chrono::microseconds{0});
-  const LatencyStats serial = run_serial(rig, w, &debt_before);
-  const auto fe = rig.front_end.stats();
-  std::printf("serial: %.0f queries/sec, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",
-              serial.queries_per_sec, serial.p50_ms, serial.p95_ms, serial.p99_ms);
-  std::printf("cache: %" PRIu64 " hits / %" PRIu64 " queries; debt %" PRIu64 " -> %" PRIu64
-              "\n",
-              fe.cache_hits, fe.queries, debt_before, rig.compactor.debt());
+  // No JSON target: run the facade stanza and print it.
+  const FacadeRun facade = run_facade(w, /*degraded=*/false);
+  std::printf("facade: %.0f queries/sec, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",
+              facade.latency.queries_per_sec, facade.latency.p50_ms, facade.latency.p95_ms,
+              facade.latency.p99_ms);
+  std::printf("cache hit rate %.3f; compaction %" PRIu64 " installed, debt %" PRIu64
+              " -> %" PRIu64 "\n",
+              facade.hit_rate, facade.installs, facade.debt_before, facade.debt_after);
   return 0;
 }

@@ -44,10 +44,9 @@ struct KnnService::Snapshot {
   bool has_targets = false;
 };
 
-/// One waiting query() call in the coalescing seat (the QueryFrontEnd
-/// leader/follower discipline, facade-wide).  Owned by the caller's stack;
-/// `done`/`result`/`error` are written by the leader and read by the owner,
-/// both under seat_mutex.
+/// One waiting query() call in the leader/follower coalescing seat.  Owned
+/// by the caller's stack; `done`/`result`/`error` are written by the leader
+/// and read by the owner, both under seat_mutex.
 struct KnnService::SeatSlot {
   const PointD* query = nullptr;
   KnnAlgo algo{};
@@ -578,8 +577,8 @@ QueryResult KnnService::query(const PointD& point, const QueryOptions& options) 
   }
   if (!slot.done) {
     // Leader: collect companions up to coalesce_max_batch or the deadline,
-    // then score the whole batch outside the lock (the QueryFrontEnd
-    // discipline — see serve/front_end.cpp).
+    // then score the whole batch outside the lock — followers only wait on
+    // seat_cv, so no lock is held while anything scores.
     state.seat_leader_active = true;
     if (state.config.coalesce_max_delay.count() > 0) {
       const auto deadline = std::chrono::steady_clock::now() + state.config.coalesce_max_delay;

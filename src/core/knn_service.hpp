@@ -66,9 +66,11 @@
 /// compaction_debt / live_ids_on) still take the service mutex — they read
 /// the mutable mirror, not the snapshot.  `query()` additionally coalesces
 /// concurrently-submitted singles through one leader/follower seat per
-/// service (the QueryFrontEnd discipline, facade-wide), so under load
-/// singles approach the batch path's kernel amortization; query_batch
-/// bypasses the seat.
+/// service: the first arrival leads, waits up to coalesce_max_delay for
+/// companions, and scores the whole batch against one snapshot outside
+/// the seat lock while followers block until their slot is filled.  Under
+/// load, singles approach the batch path's kernel amortization;
+/// query_batch bypasses the seat.
 
 #include <chrono>
 #include <cstdint>
@@ -164,9 +166,9 @@ struct ServiceConfig {
   /// a degraded answer is never served after a liveness change (and vice
   /// versa).
   std::size_t cache_capacity = 0;
-  /// query()'s facade-wide coalescing seat (the QueryFrontEnd
-  /// leader/follower discipline): concurrently submitted singles ride one
-  /// scored batch of up to `coalesce_max_batch`; the leader waits up to
+  /// query()'s facade-wide leader/follower coalescing seat: concurrently
+  /// submitted singles ride one scored batch of up to `coalesce_max_batch`
+  /// (1 = every query scores alone); the leader waits up to
   /// `coalesce_max_delay` for companions (0 = coalesce only queries
   /// already queued — no added latency, the default).  Coalescing changes
   /// no answer bytes: each answer is a pure function of (snapshot, query,

@@ -1,7 +1,10 @@
 #include "core/mlapi.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <string>
+#include <type_traits>
 
 #include "core/protocol.hpp"
 #include "data/validate.hpp"
@@ -25,89 +28,85 @@ struct MlSlot {
 };
 
 using KeyedPayload = std::pair<Key, std::uint64_t>;
+using ScoredBatch = std::vector<std::vector<std::vector<Key>>>;
 
-/// One query's select-and-gather — shared by the single-query and batched
-/// programs.
+/// Every query of the block runs its select-and-gather back to back inside
+/// one engine (see session.hpp's pipelining note for why instances don't
+/// mix).
 template <typename Lookup>
-Task<void> ml_step(Ctx& ctx, const std::vector<std::vector<Key>>& scored, std::uint64_t ell,
-                   KnnConfig knn_config, Lookup& lookup, std::vector<MlSlot>& slots) {
-  MlSlot& slot = slots[ctx.id()];
-  KnnLocal local = co_await dist_knn(ctx, scored[ctx.id()], ell, knn_config);
-  slot.selected = local.selected;
-  slot.iterations = local.select_iterations;
-  slot.attempts = local.attempts;
-  slot.candidates = local.candidates;
-  slot.prune_ok = local.prune_ok;
-
-  std::vector<KeyedPayload> mine;
-  mine.reserve(local.selected.size());
-  for (const Key& key : local.selected) mine.emplace_back(key, lookup(ctx.id(), key.id));
-
-  // Gather winners at the leader (one message per non-leader machine; the
-  // winners number ℓ in total so the volume is O(ℓ log n) bits).
-  auto gathered = co_await gather<std::vector<KeyedPayload>>(ctx, knn_config.leader,
-                                                             tags::kMlPayload, mine);
-  if (ctx.id() == knn_config.leader) {
-    std::vector<KeyedPayload> winners;
-    for (auto& part : gathered) winners.insert(winners.end(), part.begin(), part.end());
-    std::sort(winners.begin(), winners.end());
-    slot.winners = std::move(winners);
-  }
-}
-
-template <typename Lookup>
-Task<void> ml_program(Ctx& ctx, const std::vector<std::vector<Key>>* scored, std::uint64_t ell,
-                      KnnConfig knn_config, Lookup lookup, std::vector<MlSlot>* slots) {
-  co_await ml_step(ctx, *scored, ell, knn_config, lookup, *slots);
-}
-
-/// Batched program: every query of the block runs back to back inside one
-/// engine (see session.hpp's pipelining note for why instances don't mix).
-template <typename Lookup>
-Task<void> ml_batch_program(Ctx& ctx, const std::vector<std::vector<std::vector<Key>>>* batch,
-                            std::uint64_t ell, KnnConfig knn_config, Lookup lookup,
+Task<void> ml_batch_program(Ctx& ctx, const ScoredBatch* batch, std::uint64_t ell,
+                            KnnConfig knn_config, Lookup lookup,
                             std::vector<std::vector<MlSlot>>* slots) {
   for (std::size_t q = 0; q < batch->size(); ++q) {
-    co_await ml_step(ctx, (*batch)[q], ell, knn_config, lookup, (*slots)[q]);
+    MlSlot& slot = (*slots)[q][ctx.id()];
+    KnnLocal local = co_await dist_knn(ctx, (*batch)[q][ctx.id()], ell, knn_config);
+    slot.selected = local.selected;
+    slot.iterations = local.select_iterations;
+    slot.attempts = local.attempts;
+    slot.candidates = local.candidates;
+    slot.prune_ok = local.prune_ok;
+
+    std::vector<KeyedPayload> mine;
+    mine.reserve(local.selected.size());
+    for (const Key& key : local.selected) mine.emplace_back(key, lookup(ctx.id(), key.id));
+
+    // Gather winners at the leader (one message per non-leader machine; the
+    // winners number ℓ in total so the volume is O(ℓ log n) bits).
+    auto gathered = co_await gather<std::vector<KeyedPayload>>(ctx, knn_config.leader,
+                                                               tags::kMlPayload, mine);
+    if (ctx.id() == knn_config.leader) {
+      std::vector<KeyedPayload> winners;
+      for (auto& part : gathered) winners.insert(winners.end(), part.begin(), part.end());
+      std::sort(winners.begin(), winners.end());
+      slot.winners = std::move(winners);
+    }
   }
 }
 
 /// Leader-side vote: fills result.votes and result.label from the winners.
-void finish_classify(ClassifyResult& result, const std::vector<KeyedPayload>& winners,
-                     VoteRule rule) {
-  // Weighted vote; ties resolved toward the smallest label (deterministic).
-  std::map<std::uint32_t, double> tally;
-  for (const auto& [key, payload] : winners) {
-    const auto label = static_cast<std::uint32_t>(payload);
-    result.votes.emplace_back(key, label);
-    double weight = 1.0;
-    if (rule == VoteRule::InverseDistance) {
-      // Ranks from make_labeled_key_shards are encode_distance-encoded.
-      weight = 1.0 / (decode_distance(key.rank) + 1e-9);
+struct Vote {
+  using Result = ClassifyResult;
+  VoteRule rule = VoteRule::Majority;
+
+  void operator()(ClassifyResult& result, const std::vector<KeyedPayload>& winners) const {
+    // Weighted vote; ties resolved toward the smallest label (deterministic).
+    std::map<std::uint32_t, double> tally;
+    for (const auto& [key, payload] : winners) {
+      const auto label = static_cast<std::uint32_t>(payload);
+      result.votes.emplace_back(key, label);
+      double weight = 1.0;
+      if (rule == VoteRule::InverseDistance) {
+        // Ranks from make_labeled_key_shards are encode_distance-encoded.
+        weight = 1.0 / (decode_distance(key.rank) + 1e-9);
+      }
+      tally[label] += weight;
     }
-    tally[label] += weight;
-  }
-  DKNN_REQUIRE(!result.votes.empty(), "classification needs at least one neighbor (ell >= 1)");
-  double best_weight = -1.0;
-  for (const auto& [label, weight] : tally) {
-    if (weight > best_weight) {  // map iterates ascending: first max wins ties
-      best_weight = weight;
-      result.label = label;
+    DKNN_REQUIRE(!result.votes.empty(), "classification needs at least one neighbor (ell >= 1)");
+    double best_weight = -1.0;
+    for (const auto& [label, weight] : tally) {
+      if (weight > best_weight) {  // map iterates ascending: first max wins ties
+        best_weight = weight;
+        result.label = label;
+      }
     }
   }
-}
+};
 
 /// Leader-side average: fills result.contributions and result.prediction.
-void finish_regress(RegressResult& result, const std::vector<KeyedPayload>& winners) {
-  DKNN_REQUIRE(!winners.empty(), "regression needs at least one neighbor (ell >= 1)");
-  double sum = 0.0;
-  for (const auto& [key, payload] : winners) {
-    const double y = std::bit_cast<double>(payload);
-    result.contributions.emplace_back(key, y);
-    sum += y;
+struct Mean {
+  using Result = RegressResult;
+
+  void operator()(RegressResult& result, const std::vector<KeyedPayload>& winners) const {
+    DKNN_REQUIRE(!winners.empty(), "regression needs at least one neighbor (ell >= 1)");
+    double sum = 0.0;
+    for (const auto& [key, payload] : winners) {
+      const double y = std::bit_cast<double>(payload);
+      result.contributions.emplace_back(key, y);
+      sum += y;
+    }
+    result.prediction = sum / static_cast<double>(result.contributions.size());
   }
-  result.prediction = sum / static_cast<double>(result.contributions.size());
-}
+};
 
 GlobalRunResult make_run_result(std::vector<MlSlot>& slots, RunReport report, MachineId leader) {
   GlobalRunResult run;
@@ -121,147 +120,108 @@ GlobalRunResult make_run_result(std::vector<MlSlot>& slots, RunReport report, Ma
   return run;
 }
 
+/// The one body behind every classify/regress entry: pre-scored
+/// [query][machine] keys, `tables` payload tables with `table(m)` pointing
+/// at machine m's id → label or target map, one engine run over all
+/// queries, and `finish` voting or averaging at the leader.  Looking
+/// payloads up in the caller's tables (instead of materialized copies)
+/// lets the facade serve them straight from its snapshot.  The whole-batch
+/// report rides on result 0.
+template <typename Table, typename Finish>
+std::vector<typename Finish::Result> ml_scored_batch(const ScoredBatch& scored_batch,
+                                                     std::size_t tables, const Table& table,
+                                                     std::uint64_t ell,
+                                                     const EngineConfig& engine_config,
+                                                     const KnnConfig& knn_config,
+                                                     const Finish& finish) {
+  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
+  const std::size_t world = scored_batch.front().size();
+  DKNN_REQUIRE(world > 0, "need at least one machine");
+  DKNN_REQUIRE(tables == world, "scored/payload tables must align");
+  for (std::size_t m = 0; m < world; ++m) DKNN_REQUIRE(table(m) != nullptr, "null payload table");
+
+  // A winner without a payload is a caller-input failure (an unlabeled
+  // point won the vote), so it carries a typed error like every other
+  // precondition — the engine rethrows it intact.
+  auto lookup = [&table](MachineId machine, PointId id) -> std::uint64_t {
+    const auto& payloads = *table(machine);
+    constexpr bool kTarget =
+        std::is_same_v<typename std::remove_cvref_t<decltype(payloads)>::mapped_type, double>;
+    const auto it = payloads.find(id);
+    if (it == payloads.end()) {
+      throw PreconditionError("dknn: winner id " + std::to_string(id) + " has no " +
+                              (kTarget ? "target" : "label") + " on its machine");
+    }
+    if constexpr (kTarget) {
+      return std::bit_cast<std::uint64_t>(it->second);
+    } else {
+      return it->second;
+    }
+  };
+  EngineConfig config = engine_config;
+  config.world_size = static_cast<std::uint32_t>(world);
+  Engine engine(config);
+  std::vector<std::vector<MlSlot>> slots(scored_batch.size(), std::vector<MlSlot>(world));
+  RunReport report = engine.run([&](Ctx& ctx) {
+    return ml_batch_program(ctx, &scored_batch, ell, knn_config, lookup, &slots);
+  });
+
+  std::vector<typename Finish::Result> results(scored_batch.size());
+  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
+    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
+                                     knn_config.leader);
+    finish(results[q], slots[q][knn_config.leader].winners);
+  }
+  return results;
+}
+
+/// The *_distributed entries' one query as a scored batch.
+template <typename Shard>
+ScoredBatch one_query_batch(const std::vector<Shard>& shards) {
+  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
+  ScoredBatch batch(1);
+  batch[0].reserve(shards.size());
+  for (const auto& shard : shards) batch[0].push_back(shard.scored);
+  return batch;
+}
+
 }  // namespace
 
 ClassifyResult classify_distributed(const std::vector<LabeledKeyShard>& shards, std::uint64_t ell,
                                     const EngineConfig& engine_config,
                                     const KnnConfig& knn_config, VoteRule rule) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  std::vector<std::vector<Key>> scored;
-  scored.reserve(shards.size());
-  for (const auto& shard : shards) scored.push_back(shard.scored);
-
-  EngineConfig config = engine_config;
-  config.world_size = static_cast<std::uint32_t>(shards.size());
-  Engine engine(config);
-  std::vector<MlSlot> slots(shards.size());
-  auto lookup = [&shards](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& labels = shards[machine].labels;
-    const auto it = labels.find(id);
-    DKNN_REQUIRE(it != labels.end(), "winner id has no label on its machine");
-    return it->second;
-  };
-  RunReport report = engine.run(
-      [&](Ctx& ctx) { return ml_program(ctx, &scored, ell, knn_config, lookup, &slots); });
-
-  ClassifyResult result;
-  result.run = make_run_result(slots, std::move(report), knn_config.leader);
-  finish_classify(result, slots[knn_config.leader].winners, rule);
-  return result;
+  auto results = ml_scored_batch(
+      one_query_batch(shards), shards.size(),
+      [&shards](std::size_t m) { return &shards[m].labels; }, ell, engine_config, knn_config,
+      Vote{rule});
+  return std::move(results.front());
 }
 
 RegressResult regress_distributed(const std::vector<TargetKeyShard>& shards, std::uint64_t ell,
                                   const EngineConfig& engine_config, const KnnConfig& knn_config) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  std::vector<std::vector<Key>> scored;
-  scored.reserve(shards.size());
-  for (const auto& shard : shards) scored.push_back(shard.scored);
-
-  EngineConfig config = engine_config;
-  config.world_size = static_cast<std::uint32_t>(shards.size());
-  Engine engine(config);
-  std::vector<MlSlot> slots(shards.size());
-  auto lookup = [&shards](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& targets = shards[machine].targets;
-    const auto it = targets.find(id);
-    DKNN_REQUIRE(it != targets.end(), "winner id has no target on its machine");
-    return std::bit_cast<std::uint64_t>(it->second);
-  };
-  RunReport report = engine.run(
-      [&](Ctx& ctx) { return ml_program(ctx, &scored, ell, knn_config, lookup, &slots); });
-
-  RegressResult result;
-  result.run = make_run_result(slots, std::move(report), knn_config.leader);
-  finish_regress(result, slots[knn_config.leader].winners);
-  return result;
+  auto results = ml_scored_batch(
+      one_query_batch(shards), shards.size(),
+      [&shards](std::size_t m) { return &shards[m].targets; }, ell, engine_config, knn_config,
+      Mean{});
+  return std::move(results.front());
 }
-
-namespace {
-
-/// Innermost batched scaffolding: pre-scored [query][machine] keys plus a
-/// (machine, id) → 64-bit payload lookup, one engine run over all queries.
-/// Taking the lookup instead of materialized tables lets callers (the
-/// facade in particular) serve payloads straight from their resident
-/// typed maps — no O(total points) widened copy per batch.
-template <typename Lookup>
-std::vector<std::vector<MlSlot>> run_ml_batch_scored(
-    const std::vector<std::vector<std::vector<Key>>>& scored, std::size_t world,
-    std::uint64_t ell, const EngineConfig& engine_config, const KnnConfig& knn_config,
-    const Lookup& lookup, RunReport* report_out) {
-  EngineConfig config = engine_config;
-  config.world_size = static_cast<std::uint32_t>(world);
-  Engine engine(config);
-  std::vector<std::vector<MlSlot>> slots(scored.size(), std::vector<MlSlot>(world));
-  *report_out = engine.run(
-      [&](Ctx& ctx) { return ml_batch_program(ctx, &scored, ell, knn_config, lookup, &slots); });
-  return slots;
-}
-
-}  // namespace
 
 std::vector<ClassifyResult> classify_scored_batch(
     const std::vector<std::vector<std::vector<Key>>>& scored_batch,
     const std::vector<std::unordered_map<PointId, std::uint32_t>>& labels, std::uint64_t ell,
     const EngineConfig& engine_config, const KnnConfig& knn_config, VoteRule rule) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one machine");
-  DKNN_REQUIRE(labels.size() == world, "scored/labels must align");
-
-  // A winner without a label is a caller-input failure (an unlabeled
-  // point won the vote), so it carries a typed error like every other
-  // precondition — the engine rethrows it intact.
-  auto lookup = [&labels](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& table = labels[machine];
-    const auto it = table.find(id);
-    if (it == table.end()) {
-      throw PreconditionError("dknn: winner id " + std::to_string(id) +
-                              " has no label on its machine");
-    }
-    return it->second;
-  };
-  RunReport report;
-  auto slots = run_ml_batch_scored(scored_batch, world, ell, engine_config, knn_config, lookup,
-                                   &report);
-
-  std::vector<ClassifyResult> results(scored_batch.size());
-  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
-                                     knn_config.leader);
-    finish_classify(results[q], slots[q][knn_config.leader].winners, rule);
-  }
-  return results;
+  return ml_scored_batch(
+      scored_batch, labels.size(), [&labels](std::size_t m) { return &labels[m]; }, ell,
+      engine_config, knn_config, Vote{rule});
 }
 
 std::vector<RegressResult> regress_scored_batch(
     const std::vector<std::vector<std::vector<Key>>>& scored_batch,
     const std::vector<std::unordered_map<PointId, double>>& targets, std::uint64_t ell,
     const EngineConfig& engine_config, const KnnConfig& knn_config) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one machine");
-  DKNN_REQUIRE(targets.size() == world, "scored/targets must align");
-
-  auto lookup = [&targets](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& table = targets[machine];
-    const auto it = table.find(id);
-    if (it == table.end()) {
-      throw PreconditionError("dknn: winner id " + std::to_string(id) +
-                              " has no target on its machine");
-    }
-    return std::bit_cast<std::uint64_t>(it->second);
-  };
-  RunReport report;
-  auto slots = run_ml_batch_scored(scored_batch, world, ell, engine_config, knn_config, lookup,
-                                   &report);
-
-  std::vector<RegressResult> results(scored_batch.size());
-  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
-                                     knn_config.leader);
-    finish_regress(results[q], slots[q][knn_config.leader].winners);
-  }
-  return results;
+  return ml_scored_batch(
+      scored_batch, targets.size(), [&targets](std::size_t m) { return &targets[m]; }, ell,
+      engine_config, knn_config, Mean{});
 }
 
 std::vector<ClassifyResult> classify_scored_batch(
@@ -269,64 +229,18 @@ std::vector<ClassifyResult> classify_scored_batch(
     const std::vector<std::shared_ptr<const std::unordered_map<PointId, std::uint32_t>>>& labels,
     std::uint64_t ell, const EngineConfig& engine_config, const KnnConfig& knn_config,
     VoteRule rule) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one machine");
-  DKNN_REQUIRE(labels.size() == world, "scored/labels must align");
-  for (const auto& table : labels) DKNN_REQUIRE(table != nullptr, "null label table");
-
-  auto lookup = [&labels](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& table = *labels[machine];
-    const auto it = table.find(id);
-    if (it == table.end()) {
-      throw PreconditionError("dknn: winner id " + std::to_string(id) +
-                              " has no label on its machine");
-    }
-    return it->second;
-  };
-  RunReport report;
-  auto slots = run_ml_batch_scored(scored_batch, world, ell, engine_config, knn_config, lookup,
-                                   &report);
-
-  std::vector<ClassifyResult> results(scored_batch.size());
-  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
-                                     knn_config.leader);
-    finish_classify(results[q], slots[q][knn_config.leader].winners, rule);
-  }
-  return results;
+  return ml_scored_batch(
+      scored_batch, labels.size(), [&labels](std::size_t m) { return labels[m].get(); }, ell,
+      engine_config, knn_config, Vote{rule});
 }
 
 std::vector<RegressResult> regress_scored_batch(
     const std::vector<std::vector<std::vector<Key>>>& scored_batch,
     const std::vector<std::shared_ptr<const std::unordered_map<PointId, double>>>& targets,
     std::uint64_t ell, const EngineConfig& engine_config, const KnnConfig& knn_config) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one machine");
-  DKNN_REQUIRE(targets.size() == world, "scored/targets must align");
-  for (const auto& table : targets) DKNN_REQUIRE(table != nullptr, "null target table");
-
-  auto lookup = [&targets](MachineId machine, PointId id) -> std::uint64_t {
-    const auto& table = *targets[machine];
-    const auto it = table.find(id);
-    if (it == table.end()) {
-      throw PreconditionError("dknn: winner id " + std::to_string(id) +
-                              " has no target on its machine");
-    }
-    return std::bit_cast<std::uint64_t>(it->second);
-  };
-  RunReport report;
-  auto slots = run_ml_batch_scored(scored_batch, world, ell, engine_config, knn_config, lookup,
-                                   &report);
-
-  std::vector<RegressResult> results(scored_batch.size());
-  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
-                                     knn_config.leader);
-    finish_regress(results[q], slots[q][knn_config.leader].winners);
-  }
-  return results;
+  return ml_scored_batch(
+      scored_batch, targets.size(), [&targets](std::size_t m) { return targets[m].get(); },
+      ell, engine_config, knn_config, Mean{});
 }
 
 // The batched dataset-level entries compose the decomposed stages

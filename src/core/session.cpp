@@ -57,13 +57,19 @@ SessionResult run_scalar_session(const std::vector<ScalarShard>& shards,
   return result;
 }
 
-SessionResult run_vector_session(const std::vector<VectorIndex>& indexes,
+SessionResult run_vector_session(const std::vector<ShardIndex>& indexes,
                                  std::span<const PointD> queries, std::uint64_t ell,
                                  const EngineConfig& engine_config,
                                  const SessionConfig& session_config) {
   DKNN_REQUIRE(!indexes.empty(), "need at least one index");
-  auto scorer = [&indexes, queries, ell](MachineId machine, std::size_t qi) {
-    return indexes[machine].top_ell(queries[qi], ell);
+  // One scratch per machine: machines may run on parallel executor threads.
+  std::vector<KernelScratch> scratch(indexes.size());
+  auto scorer = [&indexes, &scratch, queries, ell](MachineId machine, std::size_t qi) {
+    std::vector<std::vector<Key>> out;
+    shard_top_ell_batch(indexes[machine], nullptr, queries.subspan(qi, 1),
+                        static_cast<std::size_t>(ell), MetricKind::Euclidean,
+                        /*approx=*/false, out, scratch[machine]);
+    return std::move(out[0]);
   };
   return detail::run_session(static_cast<std::uint32_t>(indexes.size()), scorer, queries.size(),
                              ell, engine_config, session_config);

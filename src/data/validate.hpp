@@ -5,12 +5,12 @@
 ///
 /// Before the KnnService facade, each entry style (the per-query AoS
 /// functors, the fused batch kernels, the kd-hybrid, the serve snapshot
-/// path, the front end) carried its own ad-hoc DKNN_REQUIRE with its own
+/// path) carried its own ad-hoc DKNN_REQUIRE with its own
 /// wording, so the same user mistake — a query of the wrong dimension, an
 /// ℓ of zero — failed with a different message depending on which door it
 /// walked through.  These helpers give every path the *same* typed error
 /// with the *same* text (tests/test_service.cpp asserts the exact strings
-/// across the scalar, vector, serve, and facade entries).
+/// across the scalar, vector, kd-hybrid, serve, and facade entries).
 ///
 /// Taxonomy: everything derives from InvariantError (support/panic.hpp),
 /// so pre-existing EXPECT_THROW(…, InvariantError) tests and catch sites
@@ -24,9 +24,10 @@
 /// ℓ-semantics note: *scoring* an ℓ of zero is well-defined (empty local
 /// top-ℓ slots — ParityFuzz.EllZeroYieldsEmptySlots pins it) and the
 /// protocol runners select nothing (KnnEdge.EllZeroSelectsNothing), so
-/// those paths stay permissive.  Paths that hand a caller an *answer* —
-/// the KnnService facade and the serve front end — require ℓ ≥ 1 through
-/// require_positive_ell so the failure is typed and worded identically.
+/// those paths stay permissive.  The path that hands a caller an *answer*
+/// — the KnnService facade, at build() and on every per-call ℓ override —
+/// requires ℓ ≥ 1 through require_positive_ell so the failure is typed and
+/// worded identically.
 
 #include <cstddef>
 #include <cstdint>

@@ -11,13 +11,13 @@
 ///   net/ sim/                  the k-machine model: links, BSP engine,
 ///                              cost accounting, work-stealing pool
 ///   data/ seq/                 points, metrics, SoA stores, fused/SIMD
-///                              kernels, kd-trees, centralized validators
+///                              kernels, the kd-tree, centralized validators
 ///   election/ core/ (alg.)     the paper's protocols: selection, ℓ-NN,
 ///                              elections, sessions
 ///   fault/                     machine health, deadlines, replica mirror,
 ///                              survivor elections for recovery
 ///   serve/                     live single-store serving: SegmentStore,
-///                              Compactor, QueryFrontEnd, result cache
+///                              Compactor, result cache
 ///   core/knn_service.hpp       ★ the front door: KnnService unifies the
 ///                              static, batched and live query paths —
 ///                              start here; everything below is its
@@ -72,11 +72,9 @@
 #include "core/saukas_song.hpp"   // IWYU pragma: export
 #include "core/session.hpp"       // IWYU pragma: export
 #include "core/simple_knn.hpp"    // IWYU pragma: export
-#include "core/vector_index.hpp"  // IWYU pragma: export
 
-// live serving (epoch-snapshotted segment store + compaction + batching)
+// live serving (epoch-snapshotted segment store + compaction + result cache)
 #include "serve/compactor.hpp"      // IWYU pragma: export
-#include "serve/front_end.hpp"      // IWYU pragma: export
 #include "serve/result_cache.hpp"   // IWYU pragma: export
 #include "serve/segment_store.hpp"  // IWYU pragma: export
 

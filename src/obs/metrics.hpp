@@ -6,7 +6,7 @@
 /// Every layer of the serving stack records into one `MetricsRegistry`
 /// (the process-wide `obs::registry()`), replacing the per-layer ad-hoc
 /// counter structs as the *aggregation* surface — `ServiceStats`,
-/// `FrontEndStats` etc. stay as per-instance views, but cross-layer
+/// `Compactor::Stats` etc. stay as per-instance views, but cross-layer
 /// totals, latency distributions, and anything an operator scrapes live
 /// here.  Design constraints, in order:
 ///

@@ -8,8 +8,8 @@
 namespace dknn {
 namespace {
 
-/// Flushes across every EpochResultCache instance (facade caches and
-/// front-end caches share this type — and this counter).
+/// Flushes across every EpochResultCache instance (every service's cache
+/// shares this counter).
 obs::Counter& flush_counter() {
   static obs::Counter& c = obs::registry().counter(
       "dknn_cache_flushes_total", "epoch-advance + capacity resets, all result caches");

@@ -1,7 +1,6 @@
 #pragma once
 /// \file result_cache.hpp
-/// \brief Epoch-keyed query-result cache shared by the serve front end and
-///        the KnnService facade.
+/// \brief Epoch-keyed query-result cache behind the KnnService facade.
 ///
 /// Caching exact-ℓ-NN answers is sound *because* every scoring path in
 /// this repo is deterministic: the same frozen snapshot yields the same
@@ -13,19 +12,17 @@
 ///
 /// Entries are keyed by the query's coordinate *bit patterns*:
 /// bit-identical queries share an entry; distinct-but-equal encodings
-/// (-0.0 vs 0.0) simply don't, which is always sound.  ℓ and metric are
-/// fixed per QueryFrontEnd, so the front end keys on the bits alone; the
-/// KnnService facade supports per-call ℓ/metric overrides and appends both
-/// as two extra words to every key, so an overridden call can never
-/// collide with a canonical one (key lengths are uniform per owner — the
-/// two conventions never share a cache).
+/// (-0.0 vs 0.0) simply don't, which is always sound.  The facade supports
+/// per-call ℓ/metric overrides and appends both as two extra words to
+/// every key, so an overridden call can never collide with a canonical
+/// one.
 ///
-/// Stats convention (asserted across all owners in tests): every answer
+/// Stats convention (asserted in tests): every answer
 /// that had to run the kernels counts as a cache miss, *including* when
 /// the cache is disabled (capacity 0).  lookup() already counts the miss
-/// on the disabled path; owners that skip lookup entirely for speed must
-/// call note_bypass() instead, so ResultCacheStats always reconciles with
-/// the owner's own counters (hits + misses = answers produced).
+/// on the disabled path; an owner that skips lookup entirely for speed
+/// must call note_bypass() instead, so ResultCacheStats always reconciles
+/// with the owner's own counters (hits + misses = answers produced).
 ///
 /// Eviction is a wholesale generation reset when full — the entries are
 /// cheap to recompute and an LRU chain is not worth the locked-path cost.

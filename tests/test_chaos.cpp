@@ -23,8 +23,6 @@
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "seq/select.hpp"
-#include "serve/front_end.hpp"
-#include "serve/segment_store.hpp"
 
 namespace dknn {
 namespace {
@@ -178,81 +176,32 @@ TEST(ChaosDirected, ServiceCacheNeverCrossesLivenessFlips) {
   EXPECT_TRUE(recovered.coverage.complete());
 }
 
-TEST(ChaosDirected, FrontEndCacheNeverCrossesLivenessFlips) {
-  Rng rng(25);
-  ServeConfig serve;
-  SegmentStore store(2, serve);
-  for (PointId id = 1; id <= 25; ++id) store.insert(random_point(2, rng), id);
-  MachineHealth health(1);
-
-  FrontEndConfig config;
-  config.ell = 4;
-  config.kind = kChaosKind;
-  config.max_delay = std::chrono::microseconds{0};
-  config.cache_capacity = 64;
-  config.health = &health;
-  config.machine = 0;
-  QueryFrontEnd front(store, config);
-
-  const PointD query = random_point(2, rng);
-  const ServeQueryResult full = front.query(query);
-  EXPECT_FALSE(full.cache_hit);
-  EXPECT_TRUE(full.coverage.complete());
-  ASSERT_FALSE(full.keys.empty());
-  EXPECT_TRUE(front.query(query).cache_hit);
-
-  health.kill(0);
-  const ServeQueryResult degraded = front.query(query);
-  EXPECT_FALSE(degraded.cache_hit);
-  EXPECT_TRUE(degraded.keys.empty());
-  ASSERT_EQ(degraded.coverage.missing, (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(front.stats().degraded_batches, 1u);
-
-  health.revive(0);
-  const ServeQueryResult recovered = front.query(query);
-  EXPECT_FALSE(recovered.cache_hit);  // generation moved: healthy-era entry is stale
-  expect_same_keys(full.keys, recovered.keys, "front end recovered");
-  EXPECT_TRUE(front.query(query).cache_hit);
-}
-
 TEST(ChaosDirected, DegradedAnswerCarriesRealEpochNotZeroSentinel) {
-  // Regression: the degraded front-end path used to stamp epoch = 0, which
-  // collides with a legitimate fresh-store answer (epoch 0 is a real epoch).
-  // The contract now: epoch always means "store state this answer is exact
-  // for" and *coverage* carries the degradation signal.
+  // Regression: a degraded single-store answer used to stamp epoch = 0,
+  // which collides with a legitimate fresh-store answer.  The contract:
+  // epoch always means "service state this answer is exact for" and
+  // *coverage* carries the degradation signal.
   Rng rng(27);
-  ServeConfig serve;
-  SegmentStore store(2, serve);
-  for (PointId id = 1; id <= 12; ++id) store.insert(random_point(2, rng), id);
-  const std::uint64_t store_epoch = store.epoch();
-  ASSERT_GT(store_epoch, 0u);  // inserts advanced it — 0 would be ambiguous
-  MachineHealth health(1);
+  KnnService service = make_live_service(1, 2, 3, /*fault_tolerant=*/true);
+  for (PointId id = 1; id <= 12; ++id) (void)service.insert(random_point(2, rng), id);
+  const std::uint64_t epoch = service.snapshot_epoch();
+  ASSERT_GT(epoch, 0u);  // inserts advanced it — 0 would be ambiguous
 
-  FrontEndConfig config;
-  config.ell = 3;
-  config.kind = kChaosKind;
-  config.max_delay = std::chrono::microseconds{0};
-  config.health = &health;
-  config.machine = 0;
-  QueryFrontEnd front(store, config);
-
-  health.kill(0);
-  const ServeQueryResult degraded = front.query(random_point(2, rng));
+  service.kill_machine(0);
+  const QueryResult degraded = service.query(random_point(2, rng));
   EXPECT_TRUE(degraded.keys.empty());
-  EXPECT_EQ(degraded.epoch, store_epoch);  // not the old 0 sentinel
+  EXPECT_EQ(degraded.epoch, service.snapshot_epoch());  // not the old 0 sentinel
+  EXPECT_GT(degraded.epoch, 0u);
   ASSERT_EQ(degraded.coverage.missing, (std::vector<std::uint32_t>{0}));
 
-  // Contrast case: a genuinely fresh, empty store also answers with empty
-  // keys — at its own low epoch, with *full* coverage.  The two situations
-  // stay distinguishable by coverage alone, never by an epoch sentinel.
-  SegmentStore fresh(2, serve);
-  MachineHealth fresh_health(1);
-  FrontEndConfig fresh_config = config;
-  fresh_config.health = &fresh_health;
-  QueryFrontEnd fresh_front(fresh, fresh_config);
-  const ServeQueryResult empty_store = fresh_front.query(random_point(2, rng));
+  // Contrast case: a genuinely fresh, empty service also answers with
+  // empty keys — at its own epoch, with *full* coverage.  The two
+  // situations stay distinguishable by coverage alone, never by an epoch
+  // sentinel.
+  KnnService fresh = make_live_service(1, 2, 3, /*fault_tolerant=*/true);
+  const QueryResult empty_store = fresh.query(random_point(2, rng));
   EXPECT_TRUE(empty_store.keys.empty());
-  EXPECT_EQ(empty_store.epoch, fresh.epoch());
+  EXPECT_EQ(empty_store.epoch, fresh.snapshot_epoch());
   EXPECT_TRUE(empty_store.coverage.complete());
 }
 

@@ -1,6 +1,7 @@
 // Tests for src/seq: quickselect and median-of-medians against
-// std::nth_element (parameterized sweeps), top_ell, the k-d tree against
-// brute force under several dimensions, and the weighted median.
+// std::nth_element (parameterized sweeps), top_ell, brute force, the
+// scoring-policy routing table, the range-leaf kd-tree's counters and
+// degenerate shapes, and the weighted median.
 
 #include <gtest/gtest.h>
 
@@ -143,82 +144,6 @@ TEST(Brute, VectorMetricVariants) {
   auto sq = brute_force_knn(std::span<const PointD>(points), ids, query, SquaredEuclidean{}, 7);
   ASSERT_EQ(euc.size(), sq.size());
   for (std::size_t i = 0; i < euc.size(); ++i) EXPECT_EQ(euc[i].index, sq[i].index);
-}
-
-// --- k-d tree ---------------------------------------------------------------------------
-
-class KdTreeSweep : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(KdTreeSweep, MatchesBruteForce) {
-  const auto [n, dim] = GetParam();
-  Rng rng(30 + n + dim);
-  auto points = uniform_points(n, dim, 100.0, rng);
-  auto ids = assign_random_ids(n, rng);
-  KdTree tree(points, ids);
-  for (int q = 0; q < 5; ++q) {
-    auto query_pt = uniform_points(1, dim, 120.0, rng)[0];
-    for (std::size_t ell : {std::size_t{1}, std::size_t{5}, n / 2, n}) {
-      if (ell == 0) continue;
-      auto expected =
-          brute_force_knn(std::span<const PointD>(points), ids, query_pt, EuclideanMetric{}, ell);
-      auto got = tree.knn(query_pt, ell);
-      ASSERT_EQ(got.size(), expected.size()) << "n=" << n << " dim=" << dim << " ell=" << ell;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].first, expected[i].key) << "rank " << i;
-        EXPECT_EQ(got[i].second, expected[i].index) << "rank " << i;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(SizesAndDims, KdTreeSweep,
-                         ::testing::Combine(::testing::Values(1u, 2u, 17u, 128u, 500u),
-                                            ::testing::Values(1u, 2u, 3u, 8u)));
-
-TEST(KdTree, EmptyTree) {
-  KdTree tree({}, {});
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.knn(PointD({1.0}), 3).empty());
-}
-
-TEST(KdTree, EllZero) {
-  Rng rng(31);
-  auto points = uniform_points(10, 2, 1.0, rng);
-  auto ids = assign_random_ids(10, rng);
-  KdTree tree(points, ids);
-  EXPECT_TRUE(tree.knn(points[0], 0).empty());
-}
-
-TEST(KdTree, DimensionMismatchThrows) {
-  Rng rng(32);
-  auto points = uniform_points(10, 2, 1.0, rng);
-  auto ids = assign_random_ids(10, rng);
-  KdTree tree(points, ids);
-  EXPECT_THROW((void)tree.knn(PointD({1.0, 2.0, 3.0}), 1), InvariantError);
-}
-
-TEST(KdTree, PruningActuallyPrunes) {
-  // On clustered data with a small ell, the tree should visit far fewer
-  // nodes than brute force would score.
-  Rng rng(33);
-  auto points = uniform_points(4096, 2, 1000.0, rng);
-  auto ids = assign_random_ids(points.size(), rng);
-  KdTree tree(points, ids);
-  (void)tree.knn(PointD({0.0, 0.0}), 1);
-  EXPECT_LT(tree.last_visited(), points.size() / 2);
-}
-
-TEST(KdTree, DuplicatePointsHandled) {
-  Rng rng(34);
-  std::vector<PointD> points(20, PointD({1.0, 1.0}));  // all identical
-  auto ids = assign_random_ids(points.size(), rng);
-  KdTree tree(points, ids);
-  auto got = tree.knn(PointD({1.0, 1.0}), 5);
-  ASSERT_EQ(got.size(), 5u);
-  // ties broken by id ascending
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LT(got[i - 1].first.id, got[i].first.id);
-  }
 }
 
 // --- scoring policy routing table -------------------------------------------

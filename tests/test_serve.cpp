@@ -1,7 +1,7 @@
 // Tests for the live serving subsystem (src/serve/): SegmentStore
 // insert/erase/seal semantics, snapshot isolation, compaction (including
-// the stale-victim abort), the dynamic-batching front end's epoch-keyed
-// cache, the serve-aware driver/mlapi entry points — and the anchor of the
+// the stale-victim abort), the serve-aware driver/mlapi entry points — and
+// the anchor of the
 // whole subsystem, a seeded mutation fuzz that interleaves
 // insert/delete/compact/query and asserts byte-identical results against a
 // single FlatStore rebuilt from the live set at that epoch, across all
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -31,7 +30,6 @@
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "serve/compactor.hpp"
-#include "serve/front_end.hpp"
 #include "serve/segment_store.hpp"
 #include "sim/thread_pool.hpp"
 #include "support/panic.hpp"
@@ -521,75 +519,6 @@ TEST(ServeFuzz, InterleavedMutationsMatchRebuiltOracle) {
   }
   // The acceptance bar: at least 500 interleaved query trials.
   EXPECT_GE(trials, 500u);
-}
-
-// --- query front end --------------------------------------------------------
-
-TEST(QueryFrontEnd, CacheHitsAreByteIdenticalAndEpochKeyed) {
-  Rng rng(7);
-  SegmentStore store(3, ServeConfig{.seal_threshold = 16});
-  auto live = seed_store(store, 40, 3, 1, rng);
-  QueryFrontEnd fe(store, FrontEndConfig{.ell = 5, .kind = MetricKind::Euclidean,
-                                         .max_batch = 4,
-                                         .max_delay = std::chrono::microseconds{0},
-                                         .cache_capacity = 64});
-  const PointD query = uniform_points(1, 3, 50.0, rng)[0];
-
-  const auto first = fe.query(query);
-  EXPECT_FALSE(first.cache_hit);
-  EXPECT_EQ(first.epoch, store.epoch());
-  expect_same_keys(oracle_top_ell(live, query, 5, MetricKind::Euclidean), first.keys,
-                   "front-end miss");
-
-  const auto second = fe.query(query);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.epoch, first.epoch);
-  expect_same_keys(first.keys, second.keys, "front-end hit");
-
-  // Any mutation advances the epoch and invalidates the cache; the fresh
-  // answer reflects the deletion of the former nearest neighbor.
-  const PointId nearest = first.keys[0].id;
-  ASSERT_TRUE(store.erase(nearest).has_value());
-  live.erase(std::find_if(live.begin(), live.end(),
-                          [nearest](const LivePoint& lp) { return lp.id == nearest; }));
-  const auto third = fe.query(query);
-  EXPECT_FALSE(third.cache_hit);
-  EXPECT_GT(third.epoch, second.epoch);
-  EXPECT_NE(third.keys[0].id, nearest);
-  expect_same_keys(oracle_top_ell(live, query, 5, MetricKind::Euclidean), third.keys,
-                   "front-end after erase");
-
-  const auto stats = fe.stats();
-  EXPECT_EQ(stats.queries, 3u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_GE(stats.cache_flushes, 1u);
-}
-
-TEST(QueryFrontEnd, QueryBatchMatchesSingleQueriesAndOracle) {
-  Rng rng(8);
-  SegmentStore store(2, ServeConfig{.seal_threshold = 8, .policy = ScoringPolicy::Tree,
-                                    .leaf_size = 4});
-  auto live = seed_store(store, 30, 2, 1, rng);
-  ASSERT_TRUE(store.erase(5).has_value());
-  live.erase(std::find_if(live.begin(), live.end(),
-                          [](const LivePoint& lp) { return lp.id == 5; }));
-
-  QueryFrontEnd fe(store, FrontEndConfig{.ell = 7, .kind = MetricKind::Manhattan,
-                                         .max_batch = 8,
-                                         .max_delay = std::chrono::microseconds{0},
-                                         .cache_capacity = 0});  // cache disabled
-  const auto queries = uniform_points(9, 2, 50.0, rng);
-  const auto results = fe.query_batch(queries);
-  ASSERT_EQ(results.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_FALSE(results[q].cache_hit);
-    EXPECT_EQ(results[q].batch_size, queries.size());
-    expect_same_keys(oracle_top_ell(live, queries[q], 7, MetricKind::Manhattan),
-                     results[q].keys, "batch query " + std::to_string(q));
-  }
-  EXPECT_EQ(fe.stats().cache_hits, 0u);
-  EXPECT_EQ(fe.stats().batches, 1u);
 }
 
 // --- serve-aware driver + mlapi entry points --------------------------------

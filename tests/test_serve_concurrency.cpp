@@ -1,17 +1,17 @@
 // Concurrency tests for the live serving subsystem — the races TSan exists
 // for: a writer thread inserting/erasing/sealing, background compaction on
-// the work-stealing pool, and several query threads coalescing through the
-// dynamic-batching front end, all against one SegmentStore.  Correctness
-// is still exact: every recorded answer is verified (post-join, serially)
-// against a FlatStore rebuilt from the live set at the answer's epoch —
+// the work-stealing pool, and several query threads scoring published
+// snapshots, all against one SegmentStore.  Correctness is still exact:
+// every recorded answer is verified (post-join, serially) against a
+// FlatStore rebuilt from the live set at the answer's snapshot epoch —
 // epochs make "which state did this query see?" a well-posed question
-// even under full concurrency.
+// even under full concurrency.  The facade's coalescing seat has its own
+// suite (tests/test_service_concurrency.cpp).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <string>
 #include <thread>
@@ -22,7 +22,6 @@
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "serve/compactor.hpp"
-#include "serve/front_end.hpp"
 #include "serve/segment_store.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -85,13 +84,8 @@ TEST(ServeConcurrency, WritersCompactionAndBatchedQueriesRaceSafely) {
   ThreadPool pool(2);
   Compactor compactor(store, pool,
                       CompactionConfig{.max_dead_fraction = 0.15, .min_segment_points = 24});
-  QueryFrontEnd fe(store,
-                   FrontEndConfig{.ell = kEll, .kind = MetricKind::Euclidean, .max_batch = 8,
-                                  .max_delay = std::chrono::microseconds{100},
-                                  .cache_capacity = 256});
 
-  // A fixed pool of query points shared by all threads: repeats are
-  // frequent, so the epoch-keyed cache sees real hit traffic mid-churn.
+  // A fixed pool of query points shared by all threads.
   const auto query_pool = uniform_points(24, kDim, 50.0, rng);
 
   std::thread writer([&] {
@@ -120,7 +114,8 @@ TEST(ServeConcurrency, WritersCompactionAndBatchedQueriesRaceSafely) {
 
   struct Recorded {
     std::size_t query_index = 0;
-    ServeQueryResult result;
+    std::uint64_t epoch = 0;
+    std::vector<Key> keys;
   };
   std::vector<std::vector<Recorded>> recorded(kQueryThreads);
   std::vector<std::thread> query_threads;
@@ -129,7 +124,10 @@ TEST(ServeConcurrency, WritersCompactionAndBatchedQueriesRaceSafely) {
       Rng qrng(7000 + t);
       for (std::size_t i = 0; i < kQueriesPerThread; ++i) {
         const std::size_t pick = qrng.below(query_pool.size());
-        recorded[t].push_back(Recorded{pick, fe.query(query_pool[pick])});
+        const SnapshotPtr snapshot = store.snapshot();
+        recorded[t].push_back(
+            Recorded{pick, snapshot->epoch,
+                     snapshot_top_ell(*snapshot, query_pool[pick], kEll, MetricKind::Euclidean)});
       }
     });
   }
@@ -138,217 +136,18 @@ TEST(ServeConcurrency, WritersCompactionAndBatchedQueriesRaceSafely) {
   compactor.drain();
 
   // Post-join verification: every answer must be byte-identical to the
-  // oracle at the answer's epoch (cache hits included — a hit only ever
-  // returns bytes computed at the same epoch).
+  // oracle at its snapshot's epoch.
   std::size_t verified = 0;
   for (std::size_t t = 0; t < kQueryThreads; ++t) {
     for (const Recorded& rec : recorded[t]) {
-      const auto& live_then = history.at(rec.result.epoch);
+      const auto& live_then = history.at(rec.epoch);
       ASSERT_NO_FATAL_FAILURE(expect_same_keys(
           oracle_top_ell(live_then, query_pool[rec.query_index], kEll, MetricKind::Euclidean),
-          rec.result.keys,
-          "thread " + std::to_string(t) + " epoch " + std::to_string(rec.result.epoch)));
-      ASSERT_GE(rec.result.batch_size, 1u);
+          rec.keys, "thread " + std::to_string(t) + " epoch " + std::to_string(rec.epoch)));
       ++verified;
     }
   }
   EXPECT_EQ(verified, kQueryThreads * kQueriesPerThread);
-
-  const auto stats = fe.stats();
-  EXPECT_EQ(stats.queries, kQueryThreads * kQueriesPerThread);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-}
-
-// --- directed: leader-seat wakeup protocol -----------------------------------
-//
-// The micro-batching seat has three classic lost-wakeup traps: a query that
-// arrives while the leader is mid-execute (nobody left to elect it), a
-// max_delay == 0 storm (the leader never waits, so election is pure
-// notify_all hand-off), and query()/query_batch() interleaving (the batch
-// path bypasses the seat but shares the cache).  Each test would *hang* on
-// a lost wakeup — gtest's timeout is the assertion — and verifies bytes on
-// top.
-
-TEST(ServeConcurrency, ArrivalsMidExecuteAreEventuallyServed) {
-  constexpr std::size_t kDim = 2;
-  constexpr std::size_t kEll = 4;
-  constexpr std::size_t kThreads = 6;
-  constexpr std::size_t kPerThread = 40;
-  Rng rng(51);
-  SegmentStore store(kDim, ServeConfig{});
-  for (PointId id = 1; id <= 40; ++id) store.insert(uniform_points(1, kDim, 50.0, rng)[0], id);
-
-  // max_batch = 1: every execute scores exactly one query, so every other
-  // concurrent arrival lands mid-execute and must be re-elected by the
-  // retiring leader's notify_all.
-  QueryFrontEnd fe(store, FrontEndConfig{.ell = kEll, .kind = MetricKind::Euclidean,
-                                         .max_batch = 1,
-                                         .max_delay = std::chrono::microseconds{0},
-                                         .cache_capacity = 0});
-  const auto query_pool = uniform_points(8, kDim, 50.0, rng);
-  std::vector<std::vector<Key>> want;
-  for (const PointD& q : query_pool) {
-    want.push_back(snapshot_top_ell(*store.snapshot(), q, kEll, MetricKind::Euclidean));
-  }
-
-  std::atomic<std::size_t> ready{0};
-  std::vector<std::thread> threads;
-  std::atomic<std::size_t> mismatches{0};
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }  // start the storm together
-      Rng qrng(600 + t);
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::size_t pick = qrng.below(query_pool.size());
-        const ServeQueryResult result = fe.query(query_pool[pick]);
-        if (result.batch_size != 1) mismatches.fetch_add(1);
-        if (result.keys.size() != want[pick].size()) {
-          mismatches.fetch_add(1);
-          continue;
-        }
-        for (std::size_t j = 0; j < want[pick].size(); ++j) {
-          if (result.keys[j].rank != want[pick][j].rank ||
-              result.keys[j].id != want[pick][j].id) {
-            mismatches.fetch_add(1);
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  const auto stats = fe.stats();
-  EXPECT_EQ(stats.queries, kThreads * kPerThread);
-  EXPECT_EQ(stats.batches, kThreads * kPerThread);  // max_batch = 1: one each
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-}
-
-TEST(ServeConcurrency, ZeroDelayStormRespectsBatchCapAndLosesNoQuery) {
-  constexpr std::size_t kDim = 2;
-  constexpr std::size_t kEll = 5;
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kPerThread = 50;
-  constexpr std::size_t kMaxBatch = 4;
-  Rng rng(52);
-  SegmentStore store(kDim, ServeConfig{});
-  for (PointId id = 1; id <= 60; ++id) store.insert(uniform_points(1, kDim, 50.0, rng)[0], id);
-
-  // max_delay = 0: batches only form from queries already queued when a
-  // leader takes the seat, so arrival storms exercise the take-cap path
-  // (more than max_batch queued) and the no-wait election hand-off.
-  QueryFrontEnd fe(store, FrontEndConfig{.ell = kEll, .kind = MetricKind::Euclidean,
-                                         .max_batch = kMaxBatch,
-                                         .max_delay = std::chrono::microseconds{0},
-                                         .cache_capacity = 128});
-  const auto query_pool = uniform_points(12, kDim, 50.0, rng);
-  std::vector<std::vector<Key>> want;
-  for (const PointD& q : query_pool) {
-    want.push_back(snapshot_top_ell(*store.snapshot(), q, kEll, MetricKind::Euclidean));
-  }
-
-  std::atomic<std::size_t> ready{0};
-  std::atomic<std::size_t> cap_violations{0};
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }
-      Rng qrng(700 + t);
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::size_t pick = qrng.below(query_pool.size());
-        const ServeQueryResult result = fe.query(query_pool[pick]);
-        if (result.batch_size < 1 || result.batch_size > kMaxBatch) cap_violations.fetch_add(1);
-        if (result.keys.size() != want[pick].size()) {
-          mismatches.fetch_add(1);
-          continue;
-        }
-        for (std::size_t j = 0; j < want[pick].size(); ++j) {
-          if (result.keys[j].rank != want[pick][j].rank ||
-              result.keys[j].id != want[pick][j].id) {
-            mismatches.fetch_add(1);
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(cap_violations.load(), 0u);
-  EXPECT_EQ(mismatches.load(), 0u);
-  const auto stats = fe.stats();
-  EXPECT_EQ(stats.queries, kThreads * kPerThread);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-}
-
-TEST(ServeConcurrency, InterleavedQueryAndBatchPathsStayByteIdentical) {
-  constexpr std::size_t kDim = 3;
-  constexpr std::size_t kEll = 4;
-  constexpr std::size_t kThreads = 6;
-  constexpr std::size_t kRounds = 30;
-  Rng rng(53);
-  SegmentStore store(kDim, ServeConfig{});
-  for (PointId id = 1; id <= 50; ++id) store.insert(uniform_points(1, kDim, 50.0, rng)[0], id);
-
-  QueryFrontEnd fe(store, FrontEndConfig{.ell = kEll, .kind = MetricKind::Euclidean,
-                                         .max_batch = 4,
-                                         .max_delay = std::chrono::microseconds{50},
-                                         .cache_capacity = 64});
-  const auto query_pool = uniform_points(10, kDim, 50.0, rng);
-  std::vector<std::vector<Key>> want;
-  for (const PointD& q : query_pool) {
-    want.push_back(snapshot_top_ell(*store.snapshot(), q, kEll, MetricKind::Euclidean));
-  }
-
-  std::atomic<std::size_t> ready{0};
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) {
-      }
-      Rng qrng(800 + t);
-      const auto check = [&](std::size_t pick, const std::vector<Key>& keys) {
-        if (keys.size() != want[pick].size()) {
-          mismatches.fetch_add(1);
-          return;
-        }
-        for (std::size_t j = 0; j < want[pick].size(); ++j) {
-          if (keys[j].rank != want[pick][j].rank || keys[j].id != want[pick][j].id) {
-            mismatches.fetch_add(1);
-            return;
-          }
-        }
-      };
-      for (std::size_t round = 0; round < kRounds; ++round) {
-        if ((round + t) % 2 == 0) {
-          // Seat path: coalesces with whoever else is in flight.
-          const std::size_t pick = qrng.below(query_pool.size());
-          check(pick, fe.query(query_pool[pick]).keys);
-        } else {
-          // Batch path: bypasses the seat, shares cache + store.
-          std::vector<std::size_t> picks(3);
-          std::vector<PointD> block;
-          for (auto& pick : picks) {
-            pick = qrng.below(query_pool.size());
-            block.push_back(query_pool[pick]);
-          }
-          const auto results = fe.query_batch(block);
-          for (std::size_t i = 0; i < picks.size(); ++i) check(picks[i], results[i].keys);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  const auto stats = fe.stats();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
 }
 
 TEST(ServeConcurrency, HeldSnapshotIsStableWhileWritersChurn) {

@@ -25,7 +25,6 @@
 #include "data/validate.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
-#include "serve/front_end.hpp"
 
 namespace dknn {
 namespace {
@@ -111,24 +110,27 @@ TEST(ServiceErrors, ClassifyWithoutLabelsRegressWithoutTargets) {
 }
 
 TEST(ServiceErrors, EllZeroIsTypedAndWordedIdentically) {
-  // The facade and the serve front end require ℓ ≥ 1 through the same
-  // validator — same type, same text (scoring an ℓ of zero stays
-  // permissive; ParityFuzz.EllZeroYieldsEmptySlots pins that).
+  // The builder and both query entries' per-call overrides require ℓ ≥ 1
+  // through the same validator — same type, same text (scoring an ℓ of
+  // zero stays permissive; ParityFuzz.EllZeroYieldsEmptySlots pins that).
   const std::string expected = positive_ell_text();
   EXPECT_EQ(expected, "dknn: ell must be >= 1");
-  try {
-    (void)KnnServiceBuilder().ell(0).build();
-    FAIL() << "expected InvalidEllError";
-  } catch (const InvalidEllError& e) {
-    EXPECT_EQ(std::string(e.what()), expected);
-  }
-  SegmentStore store(2);
-  try {
-    const QueryFrontEnd fe(store, FrontEndConfig{.ell = 0});
-    FAIL() << "expected InvalidEllError";
-  } catch (const InvalidEllError& e) {
-    EXPECT_EQ(std::string(e.what()), expected);
-  }
+  const auto expect_invalid_ell = [&expected](const auto& call, const char* entry) {
+    SCOPED_TRACE(entry);
+    try {
+      call();
+      FAIL() << "expected InvalidEllError";
+    } catch (const InvalidEllError& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  };
+  expect_invalid_ell([] { (void)KnnServiceBuilder().ell(0).build(); }, "build");
+  KnnService service = make_static_service(20, 2, 3);
+  QueryOptions zero;
+  zero.ell = 0;
+  const std::vector<PointD> queries = {PointD({1.0, 2.0}), PointD({3.0, 4.0})};
+  expect_invalid_ell([&] { (void)service.query(queries[0], zero); }, "query");
+  expect_invalid_ell([&] { (void)service.query_batch(queries, zero); }, "query_batch");
 }
 
 TEST(ServiceErrors, DimensionMismatchIsWordedIdenticallyAcrossEveryEntry) {
@@ -157,6 +159,19 @@ TEST(ServiceErrors, DimensionMismatchIsWordedIdenticallyAcrossEveryEntry) {
     const FlatStore store(shard.points, shard.ids);
     try {
       (void)fused_top_ell(store, bad, 1, MetricKind::Euclidean);
+      FAIL() << "expected DimensionMismatchError";
+    } catch (const DimensionMismatchError& e) {
+      EXPECT_EQ(std::string(e.what()), expected);
+    }
+  }
+  {  // kd-hybrid entry: tree-pruned scoring over a KdRangeIndex
+    SCOPED_TRACE("kd-hybrid");
+    const KdRangeIndex index(shard.points, shard.ids);
+    KernelScratch scratch;
+    std::vector<std::vector<Key>> out;
+    try {
+      hybrid_top_ell_batch(index, std::vector<PointD>{bad}, 1, MetricKind::Euclidean, out,
+                           scratch);
       FAIL() << "expected DimensionMismatchError";
     } catch (const DimensionMismatchError& e) {
       EXPECT_EQ(std::string(e.what()), expected);
@@ -506,6 +521,7 @@ TEST(ServiceCache, HitsAreByteIdenticalAndEpochKeyed) {
   EXPECT_EQ(stats.queries, 3u);
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_GE(stats.cache_flushes, 1u);  // the epoch advance flushed the cache
 }
 
 TEST(ServiceCache, DisabledCacheStillReconcilesStats) {
@@ -699,6 +715,15 @@ TEST(ServiceErrors, UnlabeledWinnerIsATypedPreconditionFailure) {
                            .build();
   (void)service.insert_labeled(PointD({1000.0, 1000.0}), 900001, 1);
   EXPECT_THROW((void)service.classify(PointD({0.0, 0.0})), PreconditionError);
+
+  // The pre-scored single-query entries share the batch entries' body, so
+  // a winner missing from its machine's table raises the same typed error.
+  const std::vector<LabeledKeyShard> labeled = {
+      {.scored = {Key{1, 7}, Key{2, 8}}, .labels = {{7, 1}}}};
+  EXPECT_THROW((void)classify_distributed(labeled, 2, EngineConfig{}), PreconditionError);
+  const std::vector<TargetKeyShard> targeted = {
+      {.scored = {Key{1, 7}, Key{2, 8}}, .targets = {{8, 0.5}}}};
+  EXPECT_THROW((void)regress_distributed(targeted, 2, EngineConfig{}), PreconditionError);
 }
 
 TEST(ServiceLifecycle, LabeledLiveInsertFeedsClassify) {

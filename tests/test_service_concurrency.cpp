@@ -112,6 +112,63 @@ TEST(ServiceConcurrency, SeatStormRespectsCapAndStaysByteExact) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
 }
 
+TEST(ServiceConcurrency, ArrivalsMidExecuteAreEventuallyServed) {
+  // A one-query seat: with coalesce(1) every execute scores exactly one
+  // query, so every other concurrent arrival lands mid-execute and must be
+  // re-elected by the retiring leader's notify_all.  A lost wakeup hangs
+  // (gtest's timeout is the assertion); bytes are checked on top.
+  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kPerThread = 40;
+  constexpr std::uint64_t kEll = 4;
+  Rng rng(51);
+  KnnService service = KnnServiceBuilder()
+                           .machines(1)
+                           .ell(kEll)
+                           .metric(kKind)
+                           .dim(2)
+                           .live()
+                           .coalesce(1)
+                           .cache_capacity(0)
+                           .build();
+  std::unordered_map<PointId, PointD> shadow;
+  std::vector<PointId> members;
+  for (PointId id = 1; id <= 40; ++id) {
+    const PointD p = uniform_points(1, 2, 50.0, rng)[0];
+    (void)service.insert(p, id);
+    shadow.emplace(id, p);
+    members.push_back(id);
+  }
+  const auto query_pool = uniform_points(8, 2, 50.0, rng);
+  std::vector<std::vector<Key>> want;
+  for (const PointD& q : query_pool) want.push_back(member_oracle(shadow, members, q, kEll));
+
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::size_t> oversized{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }  // start the storm together
+      Rng qrng(600 + t);
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const std::size_t pick = qrng.below(query_pool.size());
+        const QueryResult result = service.query(query_pool[pick]);
+        if (result.batch_size != 1) oversized.fetch_add(1);
+        if (!same_keys(want[pick], result.keys)) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(oversized.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queries, kThreads * kPerThread);
+  EXPECT_EQ(stats.batches, stats.queries);  // one query per execute
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
+}
+
 TEST(ServiceConcurrency, MixedPerCallOverridesCoalesceByteExact) {
   // Batch-mates with different per-call ℓ/metric ride the same seat but
   // score in separate groups: every answer must match the dedicated

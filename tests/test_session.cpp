@@ -160,7 +160,7 @@ TEST(VectorSession, MatchesBruteScoredRuns) {
   Rng rng(30);
   auto points = uniform_points(900, 3, 80.0, rng);
   auto shards = make_vector_shards(points, k, PartitionScheme::Random, rng);
-  const auto indexes = make_vector_indexes(shards);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Tree);
   auto queries = uniform_points(7, 3, 90.0, rng);
 
   constexpr std::uint64_t ell = 25;
@@ -178,7 +178,7 @@ TEST(VectorSession, ElectionIntegration) {
   Rng rng(32);
   auto points = uniform_points(450, 2, 50.0, rng);
   auto shards = make_vector_shards(points, k, PartitionScheme::Random, rng);
-  const auto indexes = make_vector_indexes(shards);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Tree);
   auto queries = uniform_points(3, 2, 50.0, rng);
   SessionConfig config;
   config.election = ElectionProtocol::Sublinear;
@@ -196,7 +196,7 @@ TEST(VectorSession, EmptyShardsMixedIn) {
   Rng rng(34);
   shards[1].points = uniform_points(40, 2, 10.0, rng);
   shards[1].ids = assign_random_ids(40, rng);
-  const auto indexes = make_vector_indexes(shards);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Tree);
   auto queries = uniform_points(2, 2, 10.0, rng);
   const auto session = run_vector_session(indexes, queries, 5, engine_for(35));
   for (std::size_t q = 0; q < queries.size(); ++q) {
