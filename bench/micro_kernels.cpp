@@ -16,7 +16,10 @@
 // parallel batch path (threads recorded in the workload stanza — the
 // parallel-vs-serial ratio only means something at 4+ hardware threads),
 // and the kd-tree/FlatStore hybrid, then the fused batch path at one
-// offline shard's shape (8,000 points, d=64, ℓ=32, 64-query block), then
+// offline shard's shape (8,000 points of perfbench's d=64 Gaussian
+// mixture, ℓ=32, 64-query block), then the roofline stanza (the core's
+// measured clock and its throughput of independent sub/mul/add and FMA
+// chains, with the offline shard's rate against both), then
 // single queries over the online workload's machines (16 Auto segments of
 // 4,096 rows, d=8, ℓ=16) with 0, 64 and 512 tombstones per segment, then
 // the simulated message plane (Algorithm 2 selection runs at the online
@@ -57,6 +60,10 @@
 #include "serve/segment_store.hpp"
 #include "sim/engine.hpp"
 #include "support/timer.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace {
 /// Every heap allocation the process makes through operator new (the
@@ -467,6 +474,172 @@ void write_path(std::FILE* f, const PathRow& row, bool trailing_comma) {
   }
 }
 
+// --- roofline: the core's measured clock and vector throughput ------------
+
+/// Seconds `body` takes, best of three (the least disturbed run on a
+/// shared host).
+template <typename Body>
+double best_seconds(Body&& body) {
+  double best = 1e30;
+  for (int r = 0; r < 3; ++r) {
+    const WallTimer timer;
+    body();
+    best = std::min(best, timer.elapsed_sec());
+  }
+  return best;
+}
+
+/// The core clock, measured rather than assumed: a chain of dependent
+/// register-register integer adds retires one per cycle on every x86-64
+/// core, so its rate is the clock the vector loops below ran at.  (An
+/// add-immediate chain would not do: newer cores fold those at rename.)
+/// 0 off x86-64.
+double measured_clock_hz() {
+#if defined(__x86_64__)
+  constexpr long kIters = 50'000'000;  // 8 adds each
+  const double seconds = best_seconds([] {
+    long x = 0;
+    const long one = 1;
+    for (long i = 0; i < kIters; ++i) {
+      __asm__ volatile(
+          "add %1, %0\n\tadd %1, %0\n\tadd %1, %0\n\tadd %1, %0\n\t"
+          "add %1, %0\n\tadd %1, %0\n\tadd %1, %0\n\tadd %1, %0"
+          : "+r"(x)
+          : "r"(one));
+    }
+  });
+  return 8.0 * kIters / seconds;
+#else
+  return 0.0;
+#endif
+}
+
+/// Iterations of each throughput loop below, and its independent chains:
+/// six groups of three (one sub, one mul and one add chain each, or three
+/// FMA chains) cover a 4-cycle latency on two ports with registers to
+/// spare.
+constexpr long kChainIters = 4'000'000;
+constexpr int kChains = 18;
+
+#if defined(__x86_64__)
+/// The chains are spelled out as named locals: GCC keeps an array of this
+/// many vectors in memory and stores every element each iteration, which
+/// would time the store port instead.
+#define DKNN_CHAIN_GROUPS(X) X(0) X(1) X(2) X(3) X(4) X(5)
+
+/// kChains independent chains run kChainIters steps: a third each of sub,
+/// mul and add (the exact kernel's ops, never fused), or all FMA, for the
+/// vector type and intrinsics that VEC, SET1, SUB, MUL, ADD and FMADD name
+/// at the expansion.  Each returns a lane-0 sum so the chains are live;
+/// the timing stays outside, because a lambda inside a target function
+/// does not inherit its target.
+#define DKNN_ROOFLINE_LOOPS(SUFFIX, TARGET)                 \
+  __attribute__((target(TARGET))) double sub_mul_add_chains_##SUFFIX() { \
+    const VEC c = SET1(1e-9);                                \
+    const VEC m = SET1(0.9999999999);                        \
+    DKNN_CHAIN_GROUPS(DKNN_DECLARE)                          \
+    for (long i = 0; i < kChainIters; ++i) {                 \
+      DKNN_CHAIN_GROUPS(DKNN_SUB_MUL_ADD)                    \
+    }                                                        \
+    double sum = 0.0;                                        \
+    DKNN_CHAIN_GROUPS(DKNN_SUM)                              \
+    return sum;                                              \
+  }                                                          \
+  __attribute__((target(TARGET))) double fma_chains_##SUFFIX() { \
+    const VEC c = SET1(1e-9);                                \
+    const VEC m = SET1(0.9999999999);                        \
+    DKNN_CHAIN_GROUPS(DKNN_DECLARE)                          \
+    for (long i = 0; i < kChainIters; ++i) {                 \
+      DKNN_CHAIN_GROUPS(DKNN_FMA3)                           \
+    }                                                        \
+    double sum = 0.0;                                        \
+    DKNN_CHAIN_GROUPS(DKNN_SUM)                              \
+    return sum;                                              \
+  }
+// Distinct starting values: GCC merges chains that provably stay equal.
+#define DKNN_DECLARE(k) \
+  VEC x##k = SET1(1.0 + 3 * k), y##k = SET1(2.0 + 3 * k), z##k = SET1(3.0 + 3 * k);
+#define DKNN_SUB_MUL_ADD(k) \
+  x##k = SUB(x##k, c);      \
+  y##k = MUL(y##k, m);      \
+  z##k = ADD(z##k, c);
+#define DKNN_FMA3(k)          \
+  x##k = FMADD(x##k, m, c); \
+  y##k = FMADD(y##k, m, c); \
+  z##k = FMADD(z##k, m, c);
+#define DKNN_SUM(k) sum += x##k[0] + y##k[0] + z##k[0];
+#define VEC __m512d
+#define SET1 _mm512_set1_pd
+#define SUB _mm512_sub_pd
+#define MUL _mm512_mul_pd
+#define ADD _mm512_add_pd
+#define FMADD _mm512_fmadd_pd
+DKNN_ROOFLINE_LOOPS(avx512, "avx512f")
+#undef VEC
+#undef SET1
+#undef SUB
+#undef MUL
+#undef ADD
+#undef FMADD
+#define VEC __m256d
+#define SET1 _mm256_set1_pd
+#define SUB _mm256_sub_pd
+#define MUL _mm256_mul_pd
+#define ADD _mm256_add_pd
+#define FMADD _mm256_fmadd_pd
+DKNN_ROOFLINE_LOOPS(avx2, "avx2,fma")
+#undef VEC
+#undef SET1
+#undef SUB
+#undef MUL
+#undef ADD
+#undef FMADD
+#undef DKNN_SUM
+#undef DKNN_FMA3
+#undef DKNN_SUB_MUL_ADD
+#undef DKNN_DECLARE
+#undef DKNN_ROOFLINE_LOOPS
+#undef DKNN_CHAIN_GROUPS
+
+/// Vector ops per second of one chain loop above.
+double chain_rate(double (*chains)()) {
+  const double seconds = best_seconds([chains] { benchmark::DoNotOptimize(chains()); });
+  return kChains * static_cast<double>(kChainIters) / seconds;
+}
+#endif
+
+/// The dispatched ISA's throughput limits; empty for the scalar table (or off
+/// x86-64), which has no explicit vector loops to measure.
+struct Roofline {
+  const char* isa = "scalar";
+  std::size_t lanes = 0;         ///< doubles per vector
+  double clock_ghz = 0.0;        ///< measured
+  double sub_mul_add_ops = 0.0;  ///< vector ops per second
+  double fma_ops = 0.0;          ///< vector FMAs per second
+  [[nodiscard]] double sub_mul_add_gflops() const { return sub_mul_add_ops * lanes * 1e-9; }
+  [[nodiscard]] double fma_gflops() const { return 2.0 * fma_ops * lanes * 1e-9; }
+  [[nodiscard]] double per_cycle(double ops) const { return ops / (clock_ghz * 1e9); }
+};
+
+std::optional<Roofline> measure_roofline() {
+  Roofline r;
+  r.isa = simd::isa_name(simd::active_isa());
+#if defined(__x86_64__)
+  if (simd::active_isa() == simd::Isa::Avx512) {
+    r.lanes = 8;
+    r.sub_mul_add_ops = chain_rate(&sub_mul_add_chains_avx512);
+    r.fma_ops = chain_rate(&fma_chains_avx512);
+  } else if (simd::active_isa() == simd::Isa::Avx2) {
+    r.lanes = 4;
+    r.sub_mul_add_ops = chain_rate(&sub_mul_add_chains_avx2);
+    r.fma_ops = chain_rate(&fma_chains_avx2);
+  }
+#endif
+  if (r.lanes == 0) return std::nullopt;
+  r.clock_ghz = measured_clock_hz() * 1e-9;
+  return r;
+}
+
 constexpr std::size_t kSegments = 16;
 constexpr std::size_t kSegmentRows = 4096;
 constexpr std::size_t kSegmentDim = 8;
@@ -733,21 +906,38 @@ int emit_bench_json(const std::string& path) {
   });
 
   // Offline-shard row: one machine's shard of perfbench's
-  // offline_classify_d64 workload (8,000 points at d = 64, a 64-query
-  // block, ℓ = 32, squared Euclidean; uniform points instead of its
-  // Gaussian mixture) through the dispatched fused kernel.  This is the
-  // high-d shape where scoring dominates a query; the d = 8 rows above
-  // guard the low-d side.
+  // offline_classify_d64 workload (8,000 points of its 16-component
+  // Gaussian mixture at d = 64, centres in ±10, spread 12; a 64-query block
+  // drawn from the same mixture; ℓ = 32, squared Euclidean) through the
+  // dispatched fused kernel.  The vector ISAs screen this shape with lower
+  // bounds, so its cost depends on how many pairs survive: the row must
+  // draw the data it stands for.  This is the high-d shape where scoring
+  // dominates a query; the d = 8 rows above guard the low-d side.
   constexpr std::size_t kShardPoints = 8000;
   constexpr std::size_t kShardDim = 64;
   constexpr std::size_t kShardEll = 32;
   constexpr std::size_t kShardQueries = 64;
-  const auto shard_fx = make_scoring_fixture(kShardPoints, kShardDim, kShardQueries);
+  Rng mixture_rng(8);
+  const GaussianMixture mixture(ClusterSpec{kShardDim, 16, 10.0, 12.0}, mixture_rng);
+  std::vector<PointD> shard_points;
+  for (LabeledPoint& sample : mixture.sample(kShardPoints, mixture_rng)) {
+    shard_points.push_back(std::move(sample.x));
+  }
+  const FlatStore shard_store(shard_points, assign_random_ids(kShardPoints, mixture_rng));
+  std::vector<PointD> shard_queries;
+  for (LabeledPoint& sample : mixture.sample(kShardQueries, mixture_rng)) {
+    shard_queries.push_back(std::move(sample.x));
+  }
   const PathTiming shard = time_path(kRepeats, kShardPoints, kShardQueries, [&] {
-    fused_top_ell_batch(shard_fx.store, shard_fx.queries, kShardEll,
-                        MetricKind::SquaredEuclidean, out, scratch);
+    fused_top_ell_batch(shard_store, shard_queries, kShardEll, MetricKind::SquaredEuclidean, out,
+                        scratch);
     benchmark::DoNotOptimize(out);
   });
+  // The shard's rate in exact-kernel flops (sub, mul, add per point,
+  // query and dimension), against the throughput limits measured above.
+  const std::optional<Roofline> roofline = measure_roofline();
+  const double shard_gflops = 3.0 * kShardPoints * kShardDim * kShardQueries /
+                              (shard.median_ms * 1e-3) * 1e-9;
 
   // Tombstoned-segment rows: one query's local top-ℓ over every machine
   // of perfbench's online_churn_k16_d8 (16 machines, each holding one
@@ -801,10 +991,28 @@ int emit_bench_json(const std::string& path) {
   std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"offline_shard\": {\"points\": %zu, \"dim\": %zu, \"ell\": %zu, "
-               "\"queries\": %zu, \"metric\": \"squared-euclidean\", \"soa_fused_batch\": "
+               "\"queries\": %zu, \"metric\": \"squared-euclidean\", "
+               "\"data\": \"gaussian mixture: 16 centres in +-10, spread 12\", "
+               "\"soa_fused_batch\": "
                "{\"median_ms\": %.3f, \"ns_per_point\": %.3f, \"queries_per_sec\": %.1f}},\n",
                kShardPoints, kShardDim, kShardEll, kShardQueries, shard.median_ms,
                shard.ns_per_point, shard.queries_per_sec);
+  if (roofline.has_value()) {
+    const Roofline& r = *roofline;
+    std::fprintf(f,
+                 "  \"roofline\": {\"isa\": \"%s\", \"lanes\": %zu, \"chains\": %d, "
+                 "\"clock_ghz\": %.3f, \"clock\": \"measured: dependent register adds\",\n"
+                 "    \"sub_mul_add\": {\"gflops\": %.2f, \"vector_ops_per_cycle\": %.3f},\n"
+                 "    \"fma\": {\"gflops\": %.2f, \"vector_ops_per_cycle\": %.3f},\n"
+                 "    \"offline_shard\": {\"exact_equivalent_gflops\": %.2f, "
+                 "\"share_of_sub_mul_add\": %.3f, \"share_of_fma\": %.3f}},\n",
+                 r.isa, r.lanes, kChains, r.clock_ghz, r.sub_mul_add_gflops(),
+                 r.per_cycle(r.sub_mul_add_ops), r.fma_gflops(), r.per_cycle(r.fma_ops),
+                 shard_gflops, shard_gflops / r.sub_mul_add_gflops(),
+                 shard_gflops / r.fma_gflops());
+  } else {
+    std::fprintf(f, "  \"roofline\": null,\n");
+  }
   std::fprintf(f,
                "  \"tombstoned_segment\": {\"segments\": %zu, \"rows\": %zu, \"dim\": %zu, "
                "\"ell\": %zu, \"queries\": %zu, \"metric\": \"squared-euclidean\", "
@@ -863,6 +1071,12 @@ int emit_bench_json(const std::string& path) {
   std::printf(", hybrid/brute %.2fx", fused.median_ms / hybrid.median_ms);
   std::printf(", facade %.2f ms (%.2fx fused)", facade.median_ms, facade.median_ms / fused.median_ms);
   std::printf("; offline shard d=%zu %.2f ms", kShardDim, shard.median_ms);
+  if (roofline.has_value()) {
+    std::printf(" (%.1f exact-equivalent GFLOP/s; limits at %.2f GHz: sub/mul/add %.1f, FMA "
+                "%.1f GFLOP/s)",
+                shard_gflops, roofline->clock_ghz, roofline->sub_mul_add_gflops(),
+                roofline->fma_gflops());
+  }
   for (const TombstonedRow& row : tombstoned.rows) {
     std::printf("; %zu tombstones/segment %.1f us/query (tree share %.3f)", row.tombstones,
                 row.timing.median_ms * 1e3 / kSegmentQueries, row.tree_share);

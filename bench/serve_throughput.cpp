@@ -11,24 +11,25 @@
 //   facade             one closed-loop submitter against one machine:
 //                      snapshot scoring plus the full selection protocol
 //                      per cache miss, one insert + erase every
-//                      --churn-every queries and a compaction every 64th
+//                      --churn-every queries and a compaction every 16th
 //                      churn step.
 //   facade_concurrent  four closed-loop submitters through service.query()
 //                      — the coalescing seat — while the main thread churns
-//                      inserts/erases and compaction against them.  The
-//                      lock-free snapshot read path means the mutators
-//                      never block the submitters; a reintroduced
-//                      service-wide query lock would show up here as a
-//                      cliff.  JSON null below 4 hardware threads:
-//                      measuring scheduler thrash on a small box would
-//                      pollute the perf trajectory.
+//                      inserts/erases and compaction against them, one
+//                      churn step per --churn-every completed queries, so
+//                      the churn spans the whole run.  The lock-free
+//                      snapshot read path means the mutators never block
+//                      the submitters; a reintroduced service-wide query
+//                      lock would show up here as a cliff.  JSON null below
+//                      4 hardware threads: measuring scheduler thrash on a
+//                      small box would pollute the perf trajectory.
 //   degraded           the facade row's workload and churn sharded over four
 //                      machines with one dead: every answer is exact over
 //                      the survivors at coverage 3/4, and an erase of a dead
-//                      machine's point is pended.  Its latency includes the
-//                      four-machine protocol, not only guarded scoring and
-//                      health probes; its cache hit rate is comparable with
-//                      the facade row's.
+//                      machine's point is pended.  Beside it, the same four
+//                      machines all healthy (healthy_p50_ms), so the gap to
+//                      the facade row splits into the four-machine protocol
+//                      and the cost of the dead machine.
 //   obs_overhead       the facade row with the metrics registry off vs on.
 //   compaction         the facade row's compaction installs and its debt
 //                      before and after the run.
@@ -37,6 +38,7 @@
 //                 [--queries=2000] [--churn-every=4] [--seed=3]
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -88,16 +90,17 @@ struct Workload {
   std::uint64_t seed = 3;
 };
 
-/// The live service every stanza serves from.  seal_threshold 256 so churn
-/// seals segments mid-run, and min_segment_points 1024 so compaction has
-/// real merges to do — the rows report maintenance under load, not a
-/// frozen store.  Serial scoring (threads = 1) keeps the rows comparable
-/// on any core count.  Draws the dataset from `rng`.
+/// The live service every stanza serves from.  seal_threshold 32 so churn
+/// seals segments mid-run even at the checked-in 400 queries (100 inserts,
+/// three seals), and min_segment_points 1024 so compaction has real merges
+/// to do — the rows report maintenance under load, not a frozen store.
+/// Serial scoring (threads = 1) keeps the rows comparable on any core
+/// count.  Draws the dataset from `rng`.
 KnnServiceBuilder serve_builder(const Workload& w, std::uint32_t machines, Rng& rng) {
   KnnServiceBuilder builder;
   builder.machines(machines)
       .ell(w.ell)
-      .live(ServeConfig{.seal_threshold = 256, .policy = ScoringPolicy::Auto})
+      .live(ServeConfig{.seal_threshold = 32, .policy = ScoringPolicy::Auto})
       .compaction(CompactionConfig{.max_dead_fraction = 0.2, .min_segment_points = 1024})
       .cache_capacity(4096)
       .scoring(BatchScoringConfig{.threads = 1})
@@ -138,16 +141,15 @@ struct FacadeRun {
 };
 
 /// One closed-loop submitter, every query timed, churn interleaved.  The
-/// healthy run serves one machine; `degraded` shards the same workload
-/// over four fault-tolerant machines and kills the last before traffic
-/// starts.
-FacadeRun run_facade(const Workload& w, bool degraded) {
-  constexpr std::uint32_t kDegradedMachines = 4;
+/// facade row serves one machine; more than one shards the same workload
+/// over fault-tolerant machines, and `kill_last` kills the last of them
+/// before traffic starts.
+FacadeRun run_facade(const Workload& w, std::uint32_t machines = 1, bool kill_last = false) {
   Rng rng(w.seed);
-  KnnServiceBuilder builder = serve_builder(w, degraded ? kDegradedMachines : 1, rng);
-  if (degraded) builder.fault_tolerant();
+  KnnServiceBuilder builder = serve_builder(w, machines, rng);
+  if (machines > 1) builder.fault_tolerant();
   KnnService service = builder.build();
-  if (degraded) service.kill_machine(kDegradedMachines - 1);
+  if (kill_last) service.kill_machine(machines - 1);
   Churn churn(service);
   const auto query_pool = uniform_points(64, w.dim, 100.0, rng);
   obs::Counter& installs = obs::registry().counter("dknn_store_compaction_installs_total");
@@ -162,7 +164,7 @@ FacadeRun run_facade(const Workload& w, bool degraded) {
   for (std::size_t q = 0; q < w.queries; ++q) {
     if (w.churn_every != 0 && q % w.churn_every == 0) {
       churn.step(service, w.dim, rng);
-      if (q % (w.churn_every * 64) == 0) (void)service.compact_now();
+      if (q % (w.churn_every * 16) == 0) (void)service.compact_now();
     }
     const PointD& query = query_pool[traffic.below(query_pool.size())];
     const WallTimer timer;
@@ -184,10 +186,11 @@ FacadeRun run_facade(const Workload& w, bool degraded) {
 
 /// The facade under real read concurrency: four closed-loop submitters
 /// through service.query() (the coalescing seat) while the main thread
-/// churns inserts/erases and compaction against them.  Queries take no
-/// service-wide lock — they score against published snapshots — so the
-/// mutator thread never stalls the submitters; compare against the
-/// single-submitter `facade` row for the concurrency payoff.
+/// churns inserts/erases and compaction against them, paced by completed
+/// queries like the facade row's churn.  Queries take no service-wide
+/// lock — they score against published snapshots — so the mutator thread
+/// never stalls the submitters; compare against the single-submitter
+/// `facade` row for the concurrency payoff.
 std::optional<LatencyStats> run_facade_concurrent(const Workload& w,
                                                   std::size_t hardware_threads,
                                                   double* hit_rate, std::uint64_t* batches) {
@@ -202,9 +205,10 @@ std::optional<LatencyStats> run_facade_concurrent(const Workload& w,
   const std::size_t per_thread = w.queries / kSubmitters;
   std::vector<std::vector<double>> latencies(kSubmitters);
   std::vector<std::thread> threads;
+  std::atomic<std::size_t> completed{0};
   const WallTimer total;
   for (std::size_t t = 0; t < kSubmitters; ++t) {
-    threads.emplace_back([&service, &query_pool, &latencies, w, t, per_thread] {
+    threads.emplace_back([&service, &query_pool, &latencies, &completed, w, t, per_thread] {
       Rng traffic(w.seed + 200 + t);
       latencies[t].reserve(per_thread);
       for (std::size_t q = 0; q < per_thread; ++q) {
@@ -212,16 +216,24 @@ std::optional<LatencyStats> run_facade_concurrent(const Workload& w,
         const WallTimer timer;
         const auto result = service.query(query);
         latencies[t].push_back(ns_to_ms(timer.elapsed_ns()));
+        completed.fetch_add(1, std::memory_order_relaxed);
         if (result.keys.empty()) std::fprintf(stderr, "empty facade answer?!\n");
       }
     });
   }
-  // Churn rides the main thread while submitters run: inserts, erases and
-  // periodic compaction race the lock-free readers.
-  const std::size_t churn_ops = w.queries / std::max<std::size_t>(1, w.churn_every);
+  // Churn rides the main thread while submitters run: step c waits for
+  // c · churn_every completed queries, so inserts, erases and periodic
+  // compaction race the lock-free readers from the first query to the
+  // last instead of finishing before most of them.  Every wait ends: the
+  // last step waits for fewer queries than the submitters complete.
+  const std::size_t churn_ops =
+      w.churn_every == 0 ? 0 : per_thread * kSubmitters / w.churn_every;
   for (std::size_t c = 0; c < churn_ops; ++c) {
+    while (completed.load(std::memory_order_relaxed) < c * w.churn_every) {
+      std::this_thread::sleep_for(std::chrono::microseconds{20});
+    }
     churn.step(service, w.dim, rng);
-    if (c % 64 == 0) (void)service.maybe_compact();
+    if (c % 16 == 0) (void)service.maybe_compact();
   }
   for (auto& thread : threads) thread.join();
   const double total_sec = total.elapsed_sec();
@@ -252,7 +264,7 @@ int emit_json(const std::string& path, const Workload& w) {
   const std::size_t hardware_threads =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
-  const FacadeRun facade = run_facade(w, /*degraded=*/false);
+  const FacadeRun facade = run_facade(w);
 
   // Facade-concurrent stanza — submitters through the coalescing seat vs
   // a churning mutator thread; null below 4 hardware threads.
@@ -265,7 +277,9 @@ int emit_json(const std::string& path, const Workload& w) {
                 hardware_threads);
   }
 
-  const FacadeRun degraded = run_facade(w, /*degraded=*/true);
+  constexpr std::uint32_t kDegradedMachines = 4;
+  const FacadeRun degraded = run_facade(w, kDegradedMachines, /*kill_last=*/true);
+  const FacadeRun healthy = run_facade(w, kDegradedMachines);
 
   // Obs-overhead stanza: the facade row with the metrics registry disabled
   // (every instrument = one relaxed load + branch) vs enabled with trace
@@ -283,15 +297,15 @@ int emit_json(const std::string& path, const Workload& w) {
     // Discarded warm-up arm: page cache, allocator arenas and branch
     // predictors settle here, so neither measured arm gets the cold start.
     obs::registry().set_enabled(false);
-    (void)run_facade(ow, /*degraded=*/false);
+    (void)run_facade(ow);
     // Alternating best-of-3 per arm: run-to-run scheduler noise on shared
     // boxes dwarfs the ~3% budget this stanza polices, and the max of three
     // interleaved reps is the least-perturbed sample of each arm.
     for (int rep = 0; rep < 3; ++rep) {
       obs::registry().set_enabled(false);
-      obs_off_qps = std::max(obs_off_qps, run_facade(ow, false).latency.queries_per_sec);
+      obs_off_qps = std::max(obs_off_qps, run_facade(ow).latency.queries_per_sec);
       obs::registry().set_enabled(true);
-      obs_on_qps = std::max(obs_on_qps, run_facade(ow, false).latency.queries_per_sec);
+      obs_on_qps = std::max(obs_on_qps, run_facade(ow).latency.queries_per_sec);
     }
   }
   const double obs_overhead =
@@ -325,10 +339,12 @@ int emit_json(const std::string& path, const Workload& w) {
     write_latency(f, "facade_concurrent", facade_concurrent, extra, true);
   }
   {
-    char extra[160];
+    char extra[240];
     std::snprintf(extra, sizeof extra,
-                  ", \"cache_hit_rate\": %.3f, \"machines\": 4, \"dead\": 1, \"coverage\": %.3f",
-                  degraded.hit_rate, degraded.coverage);
+                  ", \"cache_hit_rate\": %.3f, \"machines\": %u, \"dead\": 1, \"coverage\": %.3f"
+                  ", \"healthy_p50_ms\": %.4f, \"healthy_queries_per_sec\": %.1f",
+                  degraded.hit_rate, kDegradedMachines, degraded.coverage,
+                  healthy.latency.p50_ms, healthy.latency.queries_per_sec);
     write_latency(f, "degraded", degraded.latency, extra, true);
   }
   std::fprintf(f,
@@ -352,8 +368,10 @@ int emit_json(const std::string& path, const Workload& w) {
   } else {
     std::printf("facade_concurrent skipped @%zu threads; ", hardware_threads);
   }
-  std::printf("degraded %.0f q/s at coverage %.2f, cache hit %.1f%%; ",
-              degraded.latency.queries_per_sec, degraded.coverage, 100.0 * degraded.hit_rate);
+  std::printf("degraded %.0f q/s at coverage %.2f, p50 %.3f ms (healthy %u machines %.3f ms), "
+              "cache hit %.1f%%; ",
+              degraded.latency.queries_per_sec, degraded.coverage, degraded.latency.p50_ms,
+              kDegradedMachines, healthy.latency.p50_ms, 100.0 * degraded.hit_rate);
   std::printf("obs overhead %.1f%% (on %.0f vs off %.0f q/s); ", 100.0 * obs_overhead,
               obs_on_qps, obs_off_qps);
   std::printf("compaction %" PRIu64 " installed, debt %" PRIu64 " -> %" PRIu64 ")\n",
@@ -386,7 +404,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) return emit_json(json_path, w);
 
   // No JSON target: run the facade stanza and print it.
-  const FacadeRun facade = run_facade(w, /*degraded=*/false);
+  const FacadeRun facade = run_facade(w);
   std::printf("facade: %.0f queries/sec, p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",
               facade.latency.queries_per_sec, facade.latency.p50_ms, facade.latency.p95_ms,
               facade.latency.p99_ms);

@@ -15,16 +15,8 @@ namespace {
 using simd::HeapState;
 using simd::KernelOps;
 
-/// Points per tile.  batch_impl scores each tile one query block at a
-/// time, so a block's kQueryBlock distance rows (kTile doubles each: 16 KB
-/// in all) stay in L1 between scoring and the heap updates that read them,
-/// while the tile's columns (2 KB per dimension: 128 KB at d = 64) stay in
-/// L2 across the blocks.  Must be a multiple of simd::kTilePad: the vector
-/// kernels full-width-store scored tails and full-width-load prefilter
-/// blocks into each row, and round_up(m, kTilePad) <= kTile is what
-/// bounds those accesses.
-constexpr std::size_t kTile = 256;
-static_assert(kTile % simd::kTilePad == 0, "tile buffer must absorb vector tails");
+/// Points per tile (see simd::kTile for the cache and padding reasons).
+using simd::kTile;
 
 using DistId = simd::DistId;
 static_assert(std::is_same_v<DistId, std::pair<double, PointId>>,
@@ -48,6 +40,15 @@ struct ColumnPointers {
   }
 };
 
+/// Whether a batch screens its full-heap blocks with FMA lower bounds:
+/// only the vector ISAs carry the bound ops, only the Euclidean family has
+/// the expanded form, and at d <= simd::kMaxFixedDim the exact unrolled
+/// kernels leave too little arithmetic to save.
+bool two_stage(const KernelOps& ops, MetricKind kind, std::size_t d) {
+  return ops.tile_bounds != nullptr && d > simd::kMaxFixedDim &&
+         (kind == MetricKind::Euclidean || kind == MetricKind::SquaredEuclidean);
+}
+
 void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
                 std::span<const PointD> queries, std::size_t cap, const std::uint8_t* dead,
                 std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
@@ -59,24 +60,52 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
   scratch.heap_sizes.assign(num_queries, 0);
   const PointId* ids = store.ids().data();
   const ColumnPointers cols(store);
+  const bool screened = two_stage(ops, kind, d);
+  if (screened) {
+    scratch.point_norms.resize(kTile);
+    scratch.query_norms.resize(num_queries);
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      double norm = 0.0;
+      for (const double x : queries[q].coords) norm += x * x;
+      scratch.query_norms[q] = norm;
+    }
+  }
 
   // Rejection thresholds, one per query (+∞ until that heap fills).
   scratch.thresholds.assign(num_queries, std::numeric_limits<double>::infinity());
 
   for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
     const std::size_t m = std::min(kTile, n - t0);
+    const std::uint8_t* tile_dead = dead == nullptr ? nullptr : dead + t0;
+    bool norms_fresh = true;  // the tile's point norms are not computed yet
     for (std::size_t q0 = 0; q0 < num_queries; q0 += simd::kQueryBlock) {
       const std::size_t nq = std::min(simd::kQueryBlock, num_queries - q0);
       const double* block[simd::kQueryBlock];
       for (std::size_t b = 0; b < nq; ++b) block[b] = queries[q0 + b].coords.data();
-      ops.tile_scores(kind, cols.get(), block, nq, d, t0, m, scratch.dist.data(), kTile);
+      const std::size_t* sizes = scratch.heap_sizes.data() + q0;
+      // Once every heap of the block is full, its thresholds can reject,
+      // so bounds pay off; before that every row would survive them.
+      const bool bounded =
+          screened && std::all_of(sizes, sizes + nq, [cap](std::size_t s) { return s == cap; });
+      if (bounded) {
+        ops.tile_bounds(cols.get(), block, scratch.query_norms.data() + q0, nq, d, t0, m,
+                        scratch.point_norms.data(), norms_fresh, scratch.dist.data(), kTile);
+        norms_fresh = false;
+      } else {
+        ops.tile_scores(kind, cols.get(), block, nq, d, t0, m, scratch.dist.data(), kTile);
+      }
       // Each query's heap still sees its tiles in ascending order, so the
       // selection sequence is exactly the one-query-at-a-time one.
       for (std::size_t b = 0; b < nq; ++b) {
         const std::size_t q = q0 + b;
         HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
-        ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data() + b * kTile,
-                        ids + t0, dead == nullptr ? nullptr : dead + t0, m);
+        const double* row = scratch.dist.data() + b * kTile;
+        if (bounded) {
+          ops.bounded_update(kind, heap, scratch.thresholds[q], row, cols.get(), block[b], d, t0,
+                             ids + t0, tile_dead, m);
+        } else {
+          ops.heap_update(kind, heap, scratch.thresholds[q], row, ids + t0, tile_dead, m);
+        }
         scratch.heap_sizes[q] = heap.size;
       }
     }

@@ -19,8 +19,12 @@ bool cpu_supports(Isa isa) {
   switch (isa) {
     case Isa::Scalar: return true;
 #if defined(DKNN_SIMD_X86)
-    case Isa::Avx2: return __builtin_cpu_supports("avx2") != 0;
-    case Isa::Avx512: return __builtin_cpu_supports("avx512f") != 0;
+    // Both vector TUs execute FMA in their lower-bound op, so both need the
+    // fma bit too (AVX-512F hardware has it; the check keeps the rule one).
+    case Isa::Avx2:
+      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0;
+    case Isa::Avx512:
+      return __builtin_cpu_supports("avx512f") != 0 && __builtin_cpu_supports("fma") != 0;
 #else
     case Isa::Avx2:
     case Isa::Avx512: return false;

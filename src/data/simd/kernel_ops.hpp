@@ -4,9 +4,11 @@
 ///        and the per-ISA scoring implementations (kernels_scalar.cpp,
 ///        kernels_avx2.cpp, kernels_avx512.cpp).
 ///
-/// A `KernelOps` is a table of three function pointers — tile scoring,
-/// fused heap selection, and the materializing sqrt epilogue — filled in
-/// by exactly one translation unit per ISA.  Each TU is compiled with its own target flags (see CMakeLists.txt)
+/// A `KernelOps` is a table of function pointers — tile scoring, fused
+/// heap selection, the materializing sqrt epilogue, and the vector ISAs'
+/// two-stage Euclidean screen (FMA lower bounds, then exact rescoring of
+/// the pairs they cannot reject) — filled in by exactly one translation
+/// unit per ISA.  Each TU is compiled with its own target flags (see CMakeLists.txt)
 /// and nothing else in the binary may inline code from it, so a machine
 /// without AVX-512 never executes an AVX-512 instruction as long as
 /// dispatch (data/simd/dispatch.hpp) never hands out that table.
@@ -48,6 +50,22 @@ struct HeapState {
 /// the heap).  data/kernels.cpp sizes its tile buffer to a multiple of
 /// this, which upper-bounds every in-tile access.
 inline constexpr std::size_t kTilePad = 16;
+
+/// Most points one tile holds: every op below takes m <= kTile.  The
+/// kernel layer scores each tile one query block at a time, so a block's
+/// kQueryBlock rows (kTile doubles each: 16 KB in all) stay in L1 between
+/// scoring and the heap updates that read them, while the tile's columns
+/// (2 KB per dimension: 128 KB at d = 64) stay in L2 across the blocks.
+/// A multiple of kTilePad, so round_up(m, kTilePad) <= kTile bounds every
+/// padded access to a row.
+inline constexpr std::size_t kTile = 256;
+static_assert(kTile % kTilePad == 0, "tile rows must absorb vector tails");
+
+/// Largest dimensionality every table scores with a fully unrolled
+/// register-accumulating kernel (a compile-time trip count per d); larger d
+/// runs a dynamic-dimension loop, and the Euclidean family's batches may
+/// take the two-stage screen (tile_bounds + bounded_update).
+inline constexpr std::size_t kMaxFixedDim = 16;
 
 /// Most queries one tile_scores call scores together.  The vector kernels
 /// load each column vector once and feed it to one accumulator per query,
@@ -94,6 +112,38 @@ struct KernelOps {
   /// contract: lanes in [m, round_up(m, kTilePad)) may be overwritten
   /// with scratch (the masked tail load keeps them finite).
   void (*sqrt_tile)(double* dist, std::size_t m);
+
+  /// Conservative lower bounds on the Euclidean-family raw score (the
+  /// squared sum tile_scores would produce) of queries[0, nq) against
+  /// points [t0, t0 + m): query b's bounds land in lb[b * stride, … + m)
+  /// under the kTilePad contract.  Built from the expanded form
+  /// ‖x‖² + ‖q‖² − 2·x·q with x·q accumulated by FMA, minus an error term
+  /// that covers every rounding and gradual underflow of both this
+  /// computation and the exact one (data/simd/README.md, rule 8): a
+  /// finite bound never exceeds the exact raw score, and any overflow
+  /// yields NaN or −∞, which never rejects.  `qnorms[b]` is query b's
+  /// squared norm (any order, one rounding per op).  `norms` holds the
+  /// tile's point norms, kTile doubles: with `fresh_norms` this call
+  /// computes them from the columns it loads anyway; later calls for the
+  /// same tile pass false and reuse them.  Null in the scalar table, so
+  /// the reference never screens.
+  void (*tile_bounds)(const double* const* cols, const double* const* queries,
+                      const double* qnorms, std::size_t nq, std::size_t d, std::size_t t0,
+                      std::size_t m, double* norms, bool fresh_norms, double* lb,
+                      std::size_t stride);
+
+  /// heap_update for a bounded tile of the Euclidean family: rows whose
+  /// bound `lb` (a tile_bounds row) is not above the threshold at entry —
+  /// NaN included — and that are live are rescored exactly (tile_scores'
+  /// ascending-j sub/mul/add sequence, so their scores are byte-identical)
+  /// and accepted in row order exactly as heap_update would.  A row it
+  /// skips scores above the threshold, so heap_update would have dropped
+  /// it too.  `query` is the query's coordinates; the other arguments are
+  /// heap_update's and tile_scores'.  Null in the scalar table.
+  void (*bounded_update)(MetricKind kind, HeapState& heap, double& threshold, const double* lb,
+                         const double* const* cols, const double* query, std::size_t d,
+                         std::size_t t0, const std::uint64_t* ids, const std::uint8_t* dead,
+                         std::size_t m);
 };
 
 /// Conservative squared-domain rejection threshold for the lazy-sqrt

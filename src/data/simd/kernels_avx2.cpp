@@ -2,10 +2,11 @@
 /// \brief AVX2 scoring kernels: 4-wide double lanes, 8-wide heap
 ///        prefilter blocks, maskload tails.
 ///
-/// Compiled with -mavx2 as its own TU (CMakeLists.txt); dispatch only
-/// hands out avx2_ops() after __builtin_cpu_supports("avx2").  All logic
-/// lives in simd_body.inl — this file supplies only the vector
-/// abstraction.  No FMA intrinsics anywhere (byte parity; see README.md).
+/// Compiled with -mavx2 -mfma as its own TU (CMakeLists.txt); dispatch
+/// only hands out avx2_ops() after __builtin_cpu_supports("avx2") and
+/// ("fma").  All logic lives in simd_body.inl — this file supplies only
+/// the vector abstraction.  FMA feeds only the two-stage path's lower
+/// bounds, never a score (byte parity; see README.md).
 
 #include "data/simd/kernel_ops.hpp"
 
@@ -18,6 +19,8 @@ namespace {
 
 struct V {
   static constexpr std::size_t kWidth = 4;
+  /// 8 queries × 1 point vector: 8 bound accumulators of the 16 YMMs.
+  static constexpr std::size_t kBoundVectors = 1;
   __m256d v;
 
   static V load(const double* p) { return {_mm256_loadu_pd(p)}; }
@@ -38,6 +41,22 @@ struct V {
     return static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)));
   }
+  static unsigned ngt_mask(V a, V b) {
+    // _CMP_NGT_UQ: not-greater, unordered — a NaN bound never rejects.
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_NGT_UQ)));
+  }
+  static V gather(const double* base, const std::int32_t* idx) {
+    // The masked form with a zero source is the same vgatherdpd; the
+    // unmasked intrinsic passes GCC 12's self-initialized "undefined"
+    // operand, which -Wmaybe-uninitialized flags.
+    const __m128i lanes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    return {_mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, lanes, all, 8)};
+  }
+  static V fmadd(V a, V b, V c) { return {_mm256_fmadd_pd(a.v, b.v, c.v)}; }
+  static V fnmadd(V a, V b, V c) { return {_mm256_fnmadd_pd(a.v, b.v, c.v)}; }
+  static V fmsub(V a, V b, V c) { return {_mm256_fmsub_pd(a.v, b.v, c.v)}; }
 
   /// All-ones in the first n (1..3) 64-bit lanes — a sliding window over a
   /// constant table, so no per-call mask construction.
@@ -53,7 +72,7 @@ struct V {
 
 const KernelOps& avx2_ops() {
   static constexpr KernelOps ops{"avx2", &tile_scores_entry, &heap_update_entry,
-                                 &sqrt_tile_entry};
+                                 &sqrt_tile_entry, &tile_bounds_entry, &bounded_update_entry};
   return ops;
 }
 

@@ -5,8 +5,9 @@
 /// Compiled with -mavx512f as its own TU (CMakeLists.txt); dispatch only
 /// hands out avx512_ops() after __builtin_cpu_supports("avx512f") — which
 /// also verifies the OS enabled the ZMM state.  All logic lives in
-/// simd_body.inl — this file supplies only the vector abstraction.  No FMA
-/// intrinsics anywhere (byte parity; see README.md).
+/// simd_body.inl — this file supplies only the vector abstraction.  FMA
+/// feeds only the two-stage path's lower bounds, never a score (byte
+/// parity; see README.md).
 
 #include "data/simd/kernel_ops.hpp"
 
@@ -19,6 +20,8 @@ namespace {
 
 struct V {
   static constexpr std::size_t kWidth = 8;
+  /// 8 queries × 2 point vectors = 16 bound accumulators of the 32 ZMMs.
+  static constexpr std::size_t kBoundVectors = 2;
   __m512d v;
 
   static V load(const double* p) { return {_mm512_loadu_pd(p)}; }
@@ -44,6 +47,17 @@ struct V {
     // _CMP_LE_OQ: ordered ≤ — inputs are never NaN (kernel invariant).
     return static_cast<unsigned>(_mm512_cmp_pd_mask(a.v, b.v, _CMP_LE_OQ));
   }
+  static unsigned ngt_mask(V a, V b) {
+    // _CMP_NGT_UQ: not-greater, unordered — a NaN bound never rejects.
+    return static_cast<unsigned>(_mm512_cmp_pd_mask(a.v, b.v, _CMP_NGT_UQ));
+  }
+  static V gather(const double* base, const std::int32_t* idx) {
+    const __m256i lanes = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    return {_mm512_i32gather_pd(lanes, base, 8)};
+  }
+  static V fmadd(V a, V b, V c) { return {_mm512_fmadd_pd(a.v, b.v, c.v)}; }
+  static V fnmadd(V a, V b, V c) { return {_mm512_fnmadd_pd(a.v, b.v, c.v)}; }
+  static V fmsub(V a, V b, V c) { return {_mm512_fmsub_pd(a.v, b.v, c.v)}; }
 };
 
 #include "data/simd/simd_body.inl"
@@ -52,7 +66,7 @@ struct V {
 
 const KernelOps& avx512_ops() {
   static constexpr KernelOps ops{"avx512", &tile_scores_entry, &heap_update_entry,
-                                 &sqrt_tile_entry};
+                                 &sqrt_tile_entry, &tile_bounds_entry, &bounded_update_entry};
   return ops;
 }
 

@@ -20,10 +20,6 @@
 namespace dknn::simd {
 namespace {
 
-/// Largest dimensionality with a fully-unrolled register-accumulating
-/// kernel; larger d falls back to the dimension-outer loop.
-constexpr std::size_t kMaxFixedDim = 16;
-
 /// Fixed-dimension kernel: the j-loop fully unrolls and the accumulator
 /// chain lives in registers, so each point costs D column loads and one
 /// store; the i-loop auto-vectorizes.
@@ -200,8 +196,9 @@ void sqrt_tile_entry(double* dist, std::size_t m) {
 }  // namespace
 
 const KernelOps& scalar_ops() {
+  // No bound ops: the reference scores every pair exactly and never screens.
   static constexpr KernelOps ops{"scalar", &tile_scores_entry, &heap_update_entry,
-                                 &sqrt_tile_entry};
+                                 &sqrt_tile_entry, nullptr, nullptr};
   return ops;
 }
 

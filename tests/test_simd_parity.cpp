@@ -12,6 +12,13 @@
 //   * ℓ = 1, ℓ ≥ n, and mid-range ℓ,
 //   * NaN-free denormal coordinates (masked lanes and underflowing
 //     accumulators must not flush, trap, or reorder),
+//   * at d > 16, shards of three tiles plus a tail, where full heaps send
+//     the vector ISAs through the two-stage screen (FMA lower bounds, then
+//     exact rescoring), with ℓ ∈ {1, 32, 300}, grid ties, denormals,
+//     products that round as subnormals, a 1e8 ± 1 offset (the expanded
+//     form cancels) and ≈1e155 / ≈1e160 magnitudes (norms overflow, so
+//     every bound is NaN and must not reject), plus a direct check that
+//     no bound exceeds its exact score,
 //
 // over the fused kernel for one query and for batches of 1 … 2Q+1
 // queries (Q = simd::kQueryBlock, so every remainder of the query block
@@ -26,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -73,6 +81,10 @@ enum class CoordMode {
   Continuous,  ///< full-range doubles
   Grid,        ///< small integers — exact cross-point distance ties
   Denormal,    ///< |x| ≲ 5e-308 — diffs/squares underflow into subnormals
+  Offset,      ///< 1e8 ± 1 — ‖x‖² + ‖q‖² − 2·x·q cancels catastrophically
+  TinySquares, ///< |x| ≲ 2e-161 — products and sums round as subnormals
+  Huge155,     ///< 1e155 · (1 ± 1e-3) — norms overflow, distances stay finite
+  Huge160,     ///< 1e160 · (1 ± 1e-7) — norms overflow, some distances too
 };
 
 double random_coord(CoordMode mode, Rng& rng) {
@@ -80,6 +92,10 @@ double random_coord(CoordMode mode, Rng& rng) {
     case CoordMode::Continuous: return rng.uniform01() * 100.0 - 50.0;
     case CoordMode::Grid: return static_cast<double>(rng.below(4));
     case CoordMode::Denormal: return (rng.uniform01() * 2.0 - 1.0) * 5e-308;
+    case CoordMode::Offset: return 1e8 + (rng.uniform01() * 2.0 - 1.0);
+    case CoordMode::TinySquares: return (rng.uniform01() * 2.0 - 1.0) * 2e-161;
+    case CoordMode::Huge155: return 1e155 * (1.0 + 1e-3 * (rng.uniform01() * 2.0 - 1.0));
+    case CoordMode::Huge160: return 1e160 * (1.0 + 1e-7 * (rng.uniform01() * 2.0 - 1.0));
   }
   return 0.0;
 }
@@ -161,6 +177,36 @@ Trial make_trial(std::uint64_t seed, std::uint64_t index) {
     case 1: t.ell = 1 + rng.below(64); break;
     case 2: t.ell = n; break;
     default: t.ell = n + 1 + rng.below(8); break;  // ℓ > n
+  }
+  t.query = random_point(t.dim, t.mode, rng);
+  add_batch(t, seed ^ 0xBA7C4ULL);
+  return t;
+}
+
+/// Every mode the screened-shape leg draws: the tie and underflow modes of
+/// the randomized trials, gradual underflow, and the three magnitude modes.
+constexpr CoordMode kScreenedModes[] = {CoordMode::Continuous, CoordMode::Grid,
+                                        CoordMode::Denormal,   CoordMode::TinySquares,
+                                        CoordMode::Offset,     CoordMode::Huge155,
+                                        CoordMode::Huge160};
+
+/// A shape the vector ISAs score through the two-stage screen: d > 16,
+/// three full tiles plus a tail (so full heaps meet later tiles), and ℓ of
+/// 1, 32 or 300 (> one tile: heaps fill across a tile edge).  `index`
+/// walks metric × ℓ × mode; the dimension and the tail come from it too.
+Trial make_screened_trial(std::uint64_t seed, std::uint64_t index) {
+  constexpr std::size_t kEllChoices[] = {1, 32, 300};
+  constexpr std::size_t kScreenedDims[] = {17, 33, 64};
+  Rng rng(seed);
+  Trial t;
+  t.kind = index % 2 == 0 ? MetricKind::Euclidean : MetricKind::SquaredEuclidean;
+  t.ell = kEllChoices[(index / 2) % 3];
+  t.mode = kScreenedModes[(index / 6) % std::size(kScreenedModes)];
+  t.dim = kScreenedDims[index % 3];
+  const std::size_t n = 3 * simd::kTile + 1 + index % 47;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.shard.points.push_back(random_point(t.dim, t.mode, rng));
+    t.shard.ids.push_back(3 + 2 * i);
   }
   t.query = random_point(t.dim, t.mode, rng);
   add_batch(t, seed ^ 0xBA7C4ULL);
@@ -338,6 +384,15 @@ TEST(SimdParity, DispatchReportsCoherently) {
   }
   EXPECT_EQ(simd::active_isa(), unforced);
   EXPECT_FALSE(simd::parse_isa("sse9").has_value());
+#if defined(__x86_64__)
+  // Both vector tables execute FMA in their bound op, so dispatch (and with
+  // it DKNN_FORCE_ISA, which aborts on an unsupported pin) must not offer
+  // either on a CPU without the fma bit.
+  if (__builtin_cpu_supports("fma") == 0) {
+    EXPECT_FALSE(simd::isa_supported(simd::Isa::Avx2));
+    EXPECT_FALSE(simd::isa_supported(simd::Isa::Avx512));
+  }
+#endif
   if (isas.size() < simd::kIsaCount) {
     std::printf("[  NOTE    ] CPU supports %zu/%zu ISA levels — unsupported ones skipped\n",
                 isas.size(), simd::kIsaCount);
@@ -351,6 +406,98 @@ TEST(SimdParity, RandomizedTrials) {
   constexpr std::uint64_t kBaseSeed = 0x51DDBA17ULL;
   const auto isas = supported_isas();
   for (std::uint64_t i = 0; i < 1050; ++i) run_trial(kBaseSeed + i, i, isas);
+}
+
+TEST(SimdParity, ScreenedMultiTileShapes) {
+  // Every metric × ℓ × mode of make_screened_trial, each through every
+  // entry point of check_isa (batches 1 … 2Q+1, tombstone maps) on every
+  // ISA.  The scalar reference never screens, so any bound that rejects a
+  // row it should keep — a NaN bound compared ordered, or an error term
+  // too small for the 1e8 offset's cancellation — changes the keys.
+  constexpr std::uint64_t kBaseSeed = 0x5C4EE7ULL;
+  const auto isas = supported_isas();
+  for (std::uint64_t i = 0; i < 2 * 3 * std::size(kScreenedModes); ++i) {
+    const Trial t = make_screened_trial(kBaseSeed + i, i);
+    std::ostringstream trace;
+    trace << "repro: make_screened_trial(0x" << std::hex << kBaseSeed + i << std::dec << ", "
+          << i << ") — dim=" << t.dim << " n=" << t.shard.points.size()
+          << " metric=" << metric_kind_name(t.kind) << " ell=" << t.ell
+          << " mode=" << static_cast<int>(t.mode);
+    SCOPED_TRACE(trace.str());
+    const auto expected = reference_batch(t);
+    const auto dead = dead_cases(t, kBaseSeed ^ 0xDEADULL ^ i);
+    for (const simd::Isa isa : isas) check_isa(t, expected, dead, isa, kBaseSeed ^ i);
+  }
+}
+
+TEST(SimdParity, BoundsNeverExceedExactScores) {
+  // The screen's soundness condition, checked directly on each table that
+  // carries the bound ops: no lower bound is above the exact raw score
+  // tile_scores produces for the same pair.  NaN compares false, so it
+  // passes (it never rejects); +∞ over a finite score would fail.  Both
+  // the call that computes the tile's point norms and a later call that
+  // reuses them are checked, at every mode and at d > 16 around the
+  // vector widths.
+  std::size_t checked_tables = 0;
+  for (const simd::Isa isa : supported_isas()) {
+    const ForcedIsa pin(isa);
+    const simd::KernelOps& ops = simd::kernel_ops();
+    if (ops.tile_bounds == nullptr) continue;  // the scalar reference never screens
+    ++checked_tables;
+    for (const CoordMode mode : kScreenedModes) {
+      for (const std::size_t dim : {17, 31, 64, 65}) {
+        Rng rng(0xB0DULL + dim * 16 + static_cast<std::uint64_t>(mode));
+        const std::size_t n = simd::kTile + 37;
+        std::vector<PointD> points;
+        std::vector<PointId> ids;
+        for (std::size_t i = 0; i < n; ++i) {
+          points.push_back(random_point(dim, mode, rng));
+          ids.push_back(i);
+        }
+        // Duplicates of stored points: distance 0 where the norms are largest.
+        std::vector<PointD> queries = {points[0], points[n - 1]};
+        while (queries.size() < 2 * simd::kQueryBlock) queries.push_back(random_point(dim, mode, rng));
+        const FlatStore store(points, ids);
+        std::vector<const double*> cols(dim);
+        for (std::size_t j = 0; j < dim; ++j) cols[j] = store.dim_coords(j).data();
+        std::vector<double> qnorms;
+        for (const PointD& q : queries) {
+          double norm = 0.0;
+          for (const double x : q.coords) norm += x * x;
+          qnorms.push_back(norm);
+        }
+        std::vector<double> exact(simd::kQueryBlock * simd::kTile);
+        std::vector<double> bounds(simd::kQueryBlock * simd::kTile);
+        std::vector<double> norms(simd::kTile);
+        for (std::size_t t0 = 0; t0 < n; t0 += simd::kTile) {
+          const std::size_t m = std::min(simd::kTile, n - t0);
+          for (std::size_t q0 = 0; q0 < queries.size(); q0 += simd::kQueryBlock) {
+            const double* block[simd::kQueryBlock];
+            for (std::size_t b = 0; b < simd::kQueryBlock; ++b) {
+              block[b] = queries[q0 + b].coords.data();
+            }
+            ops.tile_scores(MetricKind::SquaredEuclidean, cols.data(), block, simd::kQueryBlock,
+                            dim, t0, m, exact.data(), simd::kTile);
+            ops.tile_bounds(cols.data(), block, qnorms.data() + q0, simd::kQueryBlock, dim, t0, m,
+                            norms.data(), q0 == 0, bounds.data(), simd::kTile);
+            for (std::size_t b = 0; b < simd::kQueryBlock; ++b) {
+              for (std::size_t i = 0; i < m; ++i) {
+                const double lb = bounds[b * simd::kTile + i];
+                const double score = exact[b * simd::kTile + i];
+                ASSERT_FALSE(lb > score)
+                    << simd::isa_name(isa) << " mode=" << static_cast<int>(mode)
+                    << " dim=" << dim << " query=" << q0 + b << " row=" << t0 + i
+                    << " bound=" << lb << " exact=" << score;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  if (checked_tables == 0) {
+    std::printf("[  NOTE    ] no supported ISA carries the bound ops — nothing to check\n");
+  }
 }
 
 TEST(SimdParity, EveryTailResidueTinyN) {
