@@ -17,9 +17,10 @@
 // parallel-vs-serial ratio only means something at 4+ hardware threads),
 // and the kd-tree/FlatStore hybrid, then the fused batch path at one
 // offline shard's shape (8,000 points of perfbench's d=64 Gaussian
-// mixture, ℓ=32, 64-query block), then the roofline stanza (the core's
-// measured clock and its throughput of independent sub/mul/add and FMA
-// chains, with the offline shard's rate against both), then
+// mixture, ℓ=32, 64-query block; best and median of 101 calls), as drawn
+// and shifted by +1e4 in every coordinate, then the roofline stanza (the
+// core's measured clock and its throughput of independent sub/mul/add and
+// FMA chains, with the offline shard's best rate against both), then
 // single queries over the online workload's machines (16 Auto segments of
 // 4,096 rows, d=8, ℓ=16) with 0, 64 and 512 tombstones per segment, then
 // the simulated message plane (Algorithm 2 selection runs at the online
@@ -434,6 +435,7 @@ BENCHMARK(BM_SampleWithoutReplacement)->Args({1 << 20, 64})->Args({1 << 20, 4096
 
 struct PathTiming {
   double median_ms = 0.0;
+  double best_ms = 0.0;  ///< the least disturbed call on a shared host
   double ns_per_point = 0.0;
   double queries_per_sec = 0.0;
 };
@@ -453,6 +455,7 @@ PathTiming time_path(std::size_t repeats, std::size_t points, std::size_t num_qu
   std::sort(ms.begin(), ms.end());
   PathTiming t;
   t.median_ms = ms[ms.size() / 2];
+  t.best_ms = ms.front();
   t.ns_per_point = t.median_ms * 1e6 / static_cast<double>(points * num_queries);
   t.queries_per_sec = static_cast<double>(num_queries) / (t.median_ms * 1e-3);
   return t;
@@ -905,39 +908,60 @@ int emit_bench_json(const std::string& path) {
     benchmark::DoNotOptimize(batch);
   });
 
-  // Offline-shard row: one machine's shard of perfbench's
+  // Offline-shard rows: one machine's shard of perfbench's
   // offline_classify_d64 workload (8,000 points of its 16-component
   // Gaussian mixture at d = 64, centres in ±10, spread 12; a 64-query block
   // drawn from the same mixture; ℓ = 32, squared Euclidean) through the
-  // dispatched fused kernel.  The vector ISAs screen this shape with lower
-  // bounds, so its cost depends on how many pairs survive: the row must
-  // draw the data it stands for.  This is the high-d shape where scoring
-  // dominates a query; the d = 8 rows above guard the low-d side.
+  // dispatched fused kernel, as drawn and shifted by +1e4 in every
+  // coordinate.  The vector ISAs screen this shape with single-precision
+  // lower bounds, so its cost depends on how many pairs survive: the rows
+  // must draw the data they stand for.  At the offset ‖x‖² + ‖q‖² dwarfs
+  // the distances, so only the screen's per-tile translation keeps it
+  // rejecting.  This is the high-d shape where scoring dominates a query;
+  // the d = 8 rows above guard the low-d side.  A call takes a few ms and
+  // single calls drift by tens of percent on a shared host, so these rows
+  // time kShardRepeats calls and report the best beside the median.
   constexpr std::size_t kShardPoints = 8000;
   constexpr std::size_t kShardDim = 64;
   constexpr std::size_t kShardEll = 32;
   constexpr std::size_t kShardQueries = 64;
+  constexpr std::size_t kShardRepeats = 101;
+  constexpr double kShardOffset = 1e4;
   Rng mixture_rng(8);
   const GaussianMixture mixture(ClusterSpec{kShardDim, 16, 10.0, 12.0}, mixture_rng);
   std::vector<PointD> shard_points;
   for (LabeledPoint& sample : mixture.sample(kShardPoints, mixture_rng)) {
     shard_points.push_back(std::move(sample.x));
   }
-  const FlatStore shard_store(shard_points, assign_random_ids(kShardPoints, mixture_rng));
+  const std::vector<PointId> shard_ids = assign_random_ids(kShardPoints, mixture_rng);
   std::vector<PointD> shard_queries;
   for (LabeledPoint& sample : mixture.sample(kShardQueries, mixture_rng)) {
     shard_queries.push_back(std::move(sample.x));
   }
-  const PathTiming shard = time_path(kRepeats, kShardPoints, kShardQueries, [&] {
+  const auto shifted = [](std::vector<PointD> set) {
+    for (PointD& p : set) {
+      for (double& x : p.coords) x += kShardOffset;
+    }
+    return set;
+  };
+  const FlatStore shard_store(shard_points, shard_ids);
+  const FlatStore offset_store(shifted(shard_points), shard_ids);
+  const std::vector<PointD> offset_queries = shifted(shard_queries);
+  const PathTiming shard = time_path(kShardRepeats, kShardPoints, kShardQueries, [&] {
     fused_top_ell_batch(shard_store, shard_queries, kShardEll, MetricKind::SquaredEuclidean, out,
                         scratch);
+    benchmark::DoNotOptimize(out);
+  });
+  const PathTiming offset_shard = time_path(kShardRepeats, kShardPoints, kShardQueries, [&] {
+    fused_top_ell_batch(offset_store, offset_queries, kShardEll, MetricKind::SquaredEuclidean,
+                        out, scratch);
     benchmark::DoNotOptimize(out);
   });
   // The shard's rate in exact-kernel flops (sub, mul, add per point,
   // query and dimension), against the throughput limits measured above.
   const std::optional<Roofline> roofline = measure_roofline();
   const double shard_gflops = 3.0 * kShardPoints * kShardDim * kShardQueries /
-                              (shard.median_ms * 1e-3) * 1e-9;
+                              (shard.best_ms * 1e-3) * 1e-9;
 
   // Tombstoned-segment rows: one query's local top-ℓ over every machine
   // of perfbench's online_churn_k16_d8 (16 machines, each holding one
@@ -989,14 +1013,18 @@ int emit_bench_json(const std::string& path) {
     write_path(f, rows[i], i + 1 < rows.size());
   }
   std::fprintf(f, "  },\n");
-  std::fprintf(f,
-               "  \"offline_shard\": {\"points\": %zu, \"dim\": %zu, \"ell\": %zu, "
-               "\"queries\": %zu, \"metric\": \"squared-euclidean\", "
-               "\"data\": \"gaussian mixture: 16 centres in +-10, spread 12\", "
-               "\"soa_fused_batch\": "
-               "{\"median_ms\": %.3f, \"ns_per_point\": %.3f, \"queries_per_sec\": %.1f}},\n",
-               kShardPoints, kShardDim, kShardEll, kShardQueries, shard.median_ms,
-               shard.ns_per_point, shard.queries_per_sec);
+  const auto write_shard = [&](const char* name, const char* data, const PathTiming& t) {
+    std::fprintf(f,
+                 "  \"%s\": {\"points\": %zu, \"dim\": %zu, \"ell\": %zu, "
+                 "\"queries\": %zu, \"metric\": \"squared-euclidean\", \"data\": \"%s\", "
+                 "\"repeats\": %zu, \"soa_fused_batch\": {\"best_ms\": %.3f, \"median_ms\": %.3f, "
+                 "\"ns_per_point\": %.3f, \"queries_per_sec\": %.1f}},\n",
+                 name, kShardPoints, kShardDim, kShardEll, kShardQueries, data, kShardRepeats,
+                 t.best_ms, t.median_ms, t.ns_per_point, t.queries_per_sec);
+  };
+  write_shard("offline_shard", "gaussian mixture: 16 centres in +-10, spread 12", shard);
+  write_shard("offline_shard_offset",
+              "the offline_shard points and queries plus 1e4 in every coordinate", offset_shard);
   if (roofline.has_value()) {
     const Roofline& r = *roofline;
     std::fprintf(f,
@@ -1004,7 +1032,7 @@ int emit_bench_json(const std::string& path) {
                  "\"clock_ghz\": %.3f, \"clock\": \"measured: dependent register adds\",\n"
                  "    \"sub_mul_add\": {\"gflops\": %.2f, \"vector_ops_per_cycle\": %.3f},\n"
                  "    \"fma\": {\"gflops\": %.2f, \"vector_ops_per_cycle\": %.3f},\n"
-                 "    \"offline_shard\": {\"exact_equivalent_gflops\": %.2f, "
+                 "    \"offline_shard\": {\"timing\": \"best_ms\", \"exact_equivalent_gflops\": %.2f, "
                  "\"share_of_sub_mul_add\": %.3f, \"share_of_fma\": %.3f}},\n",
                  r.isa, r.lanes, kChains, r.clock_ghz, r.sub_mul_add_gflops(),
                  r.per_cycle(r.sub_mul_add_ops), r.fma_gflops(), r.per_cycle(r.fma_ops),
@@ -1070,7 +1098,9 @@ int emit_bench_json(const std::string& path) {
   }
   std::printf(", hybrid/brute %.2fx", fused.median_ms / hybrid.median_ms);
   std::printf(", facade %.2f ms (%.2fx fused)", facade.median_ms, facade.median_ms / fused.median_ms);
-  std::printf("; offline shard d=%zu %.2f ms", kShardDim, shard.median_ms);
+  std::printf("; offline shard d=%zu best %.2f ms (median %.2f), offset best %.2f ms (median %.2f)",
+              kShardDim, shard.best_ms, shard.median_ms, offset_shard.best_ms,
+              offset_shard.median_ms);
   if (roofline.has_value()) {
     std::printf(" (%.1f exact-equivalent GFLOP/s; limits at %.2f GHz: sub/mul/add %.1f, FMA "
                 "%.1f GFLOP/s)",

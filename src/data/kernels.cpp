@@ -40,7 +40,7 @@ struct ColumnPointers {
   }
 };
 
-/// Whether a batch screens its full-heap blocks with FMA lower bounds:
+/// Whether a batch screens its full-heap blocks with float lower bounds:
 /// only the vector ISAs carry the bound ops, only the Euclidean family has
 /// the expanded form, and at d <= simd::kMaxFixedDim the exact unrolled
 /// kernels leave too little arithmetic to save.
@@ -61,14 +61,19 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
   const PointId* ids = store.ids().data();
   const ColumnPointers cols(store);
   const bool screened = two_stage(ops, kind, d);
+  simd::ScreenTile screen;
+  float* bounds = nullptr;  // the screen rows, one per block query
   if (screened) {
-    scratch.point_norms.resize(kTile);
-    scratch.query_norms.resize(num_queries);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      double norm = 0.0;
-      for (const double x : queries[q].coords) norm += x * x;
-      scratch.query_norms[q] = norm;
-    }
+    // One buffer: the narrowed tile and its norms, the narrowed block and
+    // the screen rows (simd::ScreenTile documents each part).
+    const std::size_t dq = simd::screen_query_stride(d);
+    scratch.screen.resize((d + 1 + simd::kQueryBlock) * kTile + simd::kQueryBlock * dq);
+    scratch.centre.resize(d);
+    screen.cols = scratch.screen.data();
+    screen.norms = screen.cols + d * kTile;
+    screen.queries = screen.norms + kTile;
+    screen.centre = scratch.centre.data();
+    bounds = screen.queries + simd::kQueryBlock * dq;
   }
 
   // Rejection thresholds, one per query (+∞ until that heap fills).
@@ -77,7 +82,7 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
   for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
     const std::size_t m = std::min(kTile, n - t0);
     const std::uint8_t* tile_dead = dead == nullptr ? nullptr : dead + t0;
-    bool norms_fresh = true;  // the tile's point norms are not computed yet
+    bool fresh_tile = true;  // the tile is not narrowed yet
     for (std::size_t q0 = 0; q0 < num_queries; q0 += simd::kQueryBlock) {
       const std::size_t nq = std::min(simd::kQueryBlock, num_queries - q0);
       const double* block[simd::kQueryBlock];
@@ -88,9 +93,8 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
       const bool bounded =
           screened && std::all_of(sizes, sizes + nq, [cap](std::size_t s) { return s == cap; });
       if (bounded) {
-        ops.tile_bounds(cols.get(), block, scratch.query_norms.data() + q0, nq, d, t0, m,
-                        scratch.point_norms.data(), norms_fresh, scratch.dist.data(), kTile);
-        norms_fresh = false;
+        ops.tile_bounds(cols.get(), block, nq, d, t0, m, screen, fresh_tile, bounds, kTile);
+        fresh_tile = false;
       } else {
         ops.tile_scores(kind, cols.get(), block, nq, d, t0, m, scratch.dist.data(), kTile);
       }
@@ -99,12 +103,12 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
       for (std::size_t b = 0; b < nq; ++b) {
         const std::size_t q = q0 + b;
         HeapState heap{scratch.heaps.data() + q * cap, scratch.heap_sizes[q], cap};
-        const double* row = scratch.dist.data() + b * kTile;
         if (bounded) {
-          ops.bounded_update(kind, heap, scratch.thresholds[q], row, cols.get(), block[b], d, t0,
-                             ids + t0, tile_dead, m);
+          ops.bounded_update(kind, heap, scratch.thresholds[q], bounds + b * kTile, cols.get(),
+                             block[b], d, t0, ids + t0, tile_dead, m);
         } else {
-          ops.heap_update(kind, heap, scratch.thresholds[q], row, ids + t0, tile_dead, m);
+          ops.heap_update(kind, heap, scratch.thresholds[q], scratch.dist.data() + b * kTile,
+                          ids + t0, tile_dead, m);
         }
         scratch.heap_sizes[q] = heap.size;
       }

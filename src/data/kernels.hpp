@@ -18,11 +18,12 @@
 ///     warm-up, and
 ///   * for the Euclidean family at d > 16 on the vector ISAs, once every
 ///     heap of a query block is full, screen each later tile in two
-///     stages: an FMA lower bound per (query, point) from the expanded form
-///     ‖x‖² + ‖q‖² − 2·x·q (point norms computed once per tile), then exact
-///     rescoring of only the pairs whose bound is not above the query's
-///     threshold.  Bounds never produce a score, so every key stays
-///     byte-identical (data/simd/README.md, rule 8).
+///     stages: a single-precision lower bound per (query, point) from the
+///     expanded form ‖x̃‖² + ‖q̃‖² − 2·x̃·q̃, over a float copy of the tile
+///     translated by its column means (narrowed once per tile, with its
+///     norms), then exact rescoring of only the pairs whose bound is not
+///     above the query's threshold.  Bounds never produce a score, so
+///     every key stays byte-identical (data/simd/README.md, rule 8).
 ///
 /// Parity contract (tested in tests/test_kernels.cpp): for every MetricKind
 /// the fused kernels return *byte-identical* Key sets to the per-query AoS
@@ -61,13 +62,17 @@ struct KernelOps;  // data/simd/kernel_ops.hpp — the per-ISA op table
 /// mark and are then reused; keep one per thread / call site to make the
 /// steady-state query loop allocation-free.
 struct KernelScratch {
-  std::vector<double> dist;                            ///< per-tile score (or bound) rows, one per block query
+  std::vector<double> dist;                            ///< per-tile score rows, one per block query
   std::vector<std::pair<double, PointId>> heaps;       ///< Q bounded max-heaps, flattened
   std::vector<std::size_t> heap_sizes;                 ///< live entries per heap
   std::vector<double> thresholds;                      ///< per-query rejection thresholds
   std::vector<const double*> cols;                     ///< RangeTopEll column pointers
-  std::vector<double> point_norms;                     ///< the current tile's squared point norms
-  std::vector<double> query_norms;                     ///< squared norm per batch query
+  /// The float screen of a screened batch: the current tile translated and
+  /// narrowed (d × kTile floats, 64 KB at d = 64) with its squared norms,
+  /// the current query block narrowed by the same centre, and the block's
+  /// screen rows (simd::ScreenTile in data/simd/kernel_ops.hpp).
+  std::vector<float> screen;
+  std::vector<double> centre;                          ///< the screened tile's translation, per dimension
 };
 
 /// Scores every point of `store` against every query in `queries`, fused

@@ -6,9 +6,10 @@
 ///
 /// A `KernelOps` is a table of function pointers — tile scoring, fused
 /// heap selection, the materializing sqrt epilogue, and the vector ISAs'
-/// two-stage Euclidean screen (FMA lower bounds, then exact rescoring of
-/// the pairs they cannot reject) — filled in by exactly one translation
-/// unit per ISA.  Each TU is compiled with its own target flags (see CMakeLists.txt)
+/// two-stage Euclidean screen (single-precision FMA lower bounds over a
+/// translated float copy of each tile, then exact rescoring of the pairs
+/// they cannot reject) — filled in by exactly one translation unit per
+/// ISA.  Each TU is compiled with its own target flags (see CMakeLists.txt)
 /// and nothing else in the binary may inline code from it, so a machine
 /// without AVX-512 never executes an AVX-512 instruction as long as
 /// dispatch (data/simd/dispatch.hpp) never hands out that table.
@@ -60,6 +61,19 @@ inline constexpr std::size_t kTilePad = 16;
 /// padded access to a row.
 inline constexpr std::size_t kTile = 256;
 static_assert(kTile % kTilePad == 0, "tile rows must absorb vector tails");
+
+/// Caller-owned storage for the vector ISAs' single-precision screen
+/// (tile_bounds).  A tile's first bound call translates its rows by the
+/// tile's column means and narrows them to float; every call narrows its
+/// query block the same way.  Translated magnitudes below 2⁻⁶³ narrow to 0
+/// (data/simd/README.md, rule 8).  Entries past a tile's m rows are
+/// scratch.
+struct ScreenTile {
+  float* cols = nullptr;     ///< d rows of kTile floats: the tile's rows, translated and narrowed
+  float* norms = nullptr;    ///< kTile floats: each narrowed row's squared norm
+  double* centre = nullptr;  ///< d doubles: the tile's translation (its column means)
+  float* queries = nullptr;  ///< kQueryBlock rows of screen_query_stride(d) floats: the narrowed block
+};
 
 /// Largest dimensionality every table scores with a fully unrolled
 /// register-accumulating kernel (a compile-time trip count per d); larger d
@@ -113,38 +127,45 @@ struct KernelOps {
   /// with scratch (the masked tail load keeps them finite).
   void (*sqrt_tile)(double* dist, std::size_t m);
 
-  /// Conservative lower bounds on the Euclidean-family raw score (the
+  /// Single-precision lower bounds on the Euclidean-family raw score (the
   /// squared sum tile_scores would produce) of queries[0, nq) against
-  /// points [t0, t0 + m): query b's bounds land in lb[b * stride, … + m)
-  /// under the kTilePad contract.  Built from the expanded form
-  /// ‖x‖² + ‖q‖² − 2·x·q with x·q accumulated by FMA, minus an error term
-  /// that covers every rounding and gradual underflow of both this
-  /// computation and the exact one (data/simd/README.md, rule 8): a
-  /// finite bound never exceeds the exact raw score, and any overflow
-  /// yields NaN or −∞, which never rejects.  `qnorms[b]` is query b's
-  /// squared norm (any order, one rounding per op).  `norms` holds the
-  /// tile's point norms, kTile doubles: with `fresh_norms` this call
-  /// computes them from the columns it loads anyway; later calls for the
-  /// same tile pass false and reuse them.  Null in the scalar table, so
-  /// the reference never screens.
-  void (*tile_bounds)(const double* const* cols, const double* const* queries,
-                      const double* qnorms, std::size_t nq, std::size_t d, std::size_t t0,
-                      std::size_t m, double* norms, bool fresh_norms, double* lb,
-                      std::size_t stride);
+  /// points [t0, t0 + m): query b's screen values land in the float row
+  /// lb[b * stride, … + m), whose lanes up to round_up(m, 32) are scratch
+  /// (so stride ≥ kTile).  With `fresh_tile` the call first translates the
+  /// tile's rows by their column means and narrows them into `tile`;
+  /// later calls for the same tile pass false and reuse it.  Each call
+  /// narrows its queries by the same centre, then bounds
+  /// ‖x̃‖² + ‖q̃‖² − 2·x̃·q̃ with float FMA accumulators minus an error term
+  /// that covers the translation, the narrowing, every float rounding and
+  /// the exact score's own rounding (data/simd/README.md, rule 8): a
+  /// finite screen value never exceeds the exact raw score, and any
+  /// overflow yields NaN or −∞, which never rejects.  Null in the scalar
+  /// table, so the reference never screens.
+  void (*tile_bounds)(const double* const* cols, const double* const* queries, std::size_t nq,
+                      std::size_t d, std::size_t t0, std::size_t m, const ScreenTile& tile,
+                      bool fresh_tile, float* lb, std::size_t stride);
 
   /// heap_update for a bounded tile of the Euclidean family: rows whose
-  /// bound `lb` (a tile_bounds row) is not above the threshold at entry —
-  /// NaN included — and that are live are rescored exactly (tile_scores'
-  /// ascending-j sub/mul/add sequence, so their scores are byte-identical)
-  /// and accepted in row order exactly as heap_update would.  A row it
-  /// skips scores above the threshold, so heap_update would have dropped
-  /// it too.  `query` is the query's coordinates; the other arguments are
+  /// screen value `lb` (a tile_bounds row) is not above the entry
+  /// threshold, converted to float and rounded up — NaN included — and
+  /// that are live are rescored exactly (tile_scores' ascending-j
+  /// sub/mul/add sequence, so their scores are byte-identical) and
+  /// accepted in row order exactly as heap_update would.  A row it skips
+  /// scores above the threshold, so heap_update would have dropped it too.
+  /// `query` is the query's coordinates; the other arguments are
   /// heap_update's and tile_scores'.  Null in the scalar table.
-  void (*bounded_update)(MetricKind kind, HeapState& heap, double& threshold, const double* lb,
+  void (*bounded_update)(MetricKind kind, HeapState& heap, double& threshold, const float* lb,
                          const double* const* cols, const double* query, std::size_t d,
                          std::size_t t0, const std::uint64_t* ids, const std::uint8_t* dead,
                          std::size_t m);
 };
+
+/// Floats from one narrowed query to the next in ScreenTile::queries:
+/// round_up(d, kTilePad), so a full float vector stored at any j < d
+/// stays in its row.
+[[nodiscard]] [[maybe_unused]] static std::size_t screen_query_stride(std::size_t d) {
+  return (d + kTilePad - 1) / kTilePad * kTilePad;
+}
 
 /// Conservative squared-domain rejection threshold for the lazy-sqrt
 /// Euclidean path.  Guarantee: raw > threshold  ⟹  sqrt(raw) > r, so a

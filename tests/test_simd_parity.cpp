@@ -13,12 +13,17 @@
 //   * NaN-free denormal coordinates (masked lanes and underflowing
 //     accumulators must not flush, trap, or reorder),
 //   * at d > 16, shards of three tiles plus a tail, where full heaps send
-//     the vector ISAs through the two-stage screen (FMA lower bounds, then
-//     exact rescoring), with ℓ ∈ {1, 32, 300}, grid ties, denormals,
-//     products that round as subnormals, a 1e8 ± 1 offset (the expanded
-//     form cancels) and ≈1e155 / ≈1e160 magnitudes (norms overflow, so
-//     every bound is NaN and must not reject), plus a direct check that
-//     no bound exceeds its exact score,
+//     the vector ISAs through the two-stage screen (single-precision lower
+//     bounds over a translated float copy of each tile, then exact
+//     rescoring), with ℓ ∈ {1, 32, 300}, grid ties, denormals, products
+//     that round as subnormals, 1e8 ± 1 and 1e4 ± 10 offsets (the expanded
+//     form cancels without the translation), magnitudes whose float
+//     squares (≈1e19) or float conversions (≈1e39) overflow, the float
+//     subnormal range (≈1e-40), and ≈1e155 / ≈1e160 magnitudes (double
+//     norms overflow, and so do translated coordinates narrowed to
+//     float), where every overflowing bound is NaN and must not reject,
+//     plus direct checks that no bound exceeds its exact score and that
+//     the bounds reject nearly every pair an exact screen would,
 //
 // over the fused kernel for one query and for batches of 1 … 2Q+1
 // queries (Q = simd::kQueryBlock, so every remainder of the query block
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "core/driver.hpp"
+#include "data/generators.hpp"
 #include "data/kernels.hpp"
 #include "data/simd/dispatch.hpp"
 #include "data/simd/kernel_ops.hpp"
@@ -85,6 +91,10 @@ enum class CoordMode {
   TinySquares, ///< |x| ≲ 2e-161 — products and sums round as subnormals
   Huge155,     ///< 1e155 · (1 ± 1e-3) — norms overflow, distances stay finite
   Huge160,     ///< 1e160 · (1 ± 1e-7) — norms overflow, some distances too
+  Offset4,     ///< 1e4 ± 10 — float cancels in the expanded form without the translation
+  Huge19,      ///< within ±2e19 — float squares overflow, doubles do not
+  Huge39,      ///< within ±1e39 — narrowing to float overflows
+  Tiny40,      ///< within ±1e-40 — the float subnormal range
 };
 
 double random_coord(CoordMode mode, Rng& rng) {
@@ -96,6 +106,10 @@ double random_coord(CoordMode mode, Rng& rng) {
     case CoordMode::TinySquares: return (rng.uniform01() * 2.0 - 1.0) * 2e-161;
     case CoordMode::Huge155: return 1e155 * (1.0 + 1e-3 * (rng.uniform01() * 2.0 - 1.0));
     case CoordMode::Huge160: return 1e160 * (1.0 + 1e-7 * (rng.uniform01() * 2.0 - 1.0));
+    case CoordMode::Offset4: return 1e4 + 10.0 * (rng.uniform01() * 2.0 - 1.0);
+    case CoordMode::Huge19: return 2e19 * (rng.uniform01() * 2.0 - 1.0);
+    case CoordMode::Huge39: return 1e39 * (rng.uniform01() * 2.0 - 1.0);
+    case CoordMode::Tiny40: return 1e-40 * (rng.uniform01() * 2.0 - 1.0);
   }
   return 0.0;
 }
@@ -184,11 +198,12 @@ Trial make_trial(std::uint64_t seed, std::uint64_t index) {
 }
 
 /// Every mode the screened-shape leg draws: the tie and underflow modes of
-/// the randomized trials, gradual underflow, and the three magnitude modes.
-constexpr CoordMode kScreenedModes[] = {CoordMode::Continuous, CoordMode::Grid,
-                                        CoordMode::Denormal,   CoordMode::TinySquares,
-                                        CoordMode::Offset,     CoordMode::Huge155,
-                                        CoordMode::Huge160};
+/// the randomized trials, gradual underflow, the two offsets, and the
+/// float and double magnitude modes.
+constexpr CoordMode kScreenedModes[] = {
+    CoordMode::Continuous, CoordMode::Grid,    CoordMode::Denormal, CoordMode::TinySquares,
+    CoordMode::Offset,     CoordMode::Offset4, CoordMode::Huge19,   CoordMode::Huge39,
+    CoordMode::Tiny40,     CoordMode::Huge155, CoordMode::Huge160};
 
 /// A shape the vector ISAs score through the two-stage screen: d > 16,
 /// three full tiles plus a tail (so full heaps meet later tiles), and ℓ of
@@ -413,7 +428,7 @@ TEST(SimdParity, ScreenedMultiTileShapes) {
   // entry point of check_isa (batches 1 … 2Q+1, tombstone maps) on every
   // ISA.  The scalar reference never screens, so any bound that rejects a
   // row it should keep — a NaN bound compared ordered, or an error term
-  // too small for the 1e8 offset's cancellation — changes the keys.
+  // too small for a mode's rounding — changes the keys.
   constexpr std::uint64_t kBaseSeed = 0x5C4EE7ULL;
   const auto isas = supported_isas();
   for (std::uint64_t i = 0; i < 2 * 3 * std::size(kScreenedModes); ++i) {
@@ -430,14 +445,54 @@ TEST(SimdParity, ScreenedMultiTileShapes) {
   }
 }
 
+/// Storage for calling tile_bounds directly: a simd::ScreenTile over its
+/// own buffers, and screen rows for one query block.
+struct ScreenBuffers {
+  explicit ScreenBuffers(std::size_t dim)
+      : cols(dim * simd::kTile),
+        norms(simd::kTile),
+        centre(dim),
+        queries(simd::kQueryBlock * simd::screen_query_stride(dim)),
+        rows(simd::kQueryBlock * simd::kTile) {
+    tile = simd::ScreenTile{cols.data(), norms.data(), centre.data(), queries.data()};
+  }
+  std::vector<float> cols;
+  std::vector<float> norms;
+  std::vector<double> centre;
+  std::vector<float> queries;
+  std::vector<float> rows;
+  simd::ScreenTile tile;
+};
+
+/// Exact raw scores and screen values of every (query, point) pair of one
+/// tile, one query block at a time, through one table's ops; row b of a
+/// block lands at b · kTile of `exact` and of `screen.rows`.  The first
+/// block (q0 = 0) narrows the tile, the later ones reuse it.
+void score_and_screen_tile(const simd::KernelOps& ops, const std::vector<const double*>& cols,
+                           const std::vector<PointD>& queries, std::size_t q0, std::size_t dim,
+                           std::size_t t0, std::size_t m, ScreenBuffers& screen,
+                           std::vector<double>& exact) {
+  const double* block[simd::kQueryBlock];
+  for (std::size_t b = 0; b < simd::kQueryBlock; ++b) block[b] = queries[q0 + b].coords.data();
+  ops.tile_scores(MetricKind::SquaredEuclidean, cols.data(), block, simd::kQueryBlock, dim, t0, m,
+                  exact.data(), simd::kTile);
+  ops.tile_bounds(cols.data(), block, simd::kQueryBlock, dim, t0, m, screen.tile, q0 == 0,
+                  screen.rows.data(), simd::kTile);
+}
+
+std::vector<const double*> column_pointers(const FlatStore& store) {
+  std::vector<const double*> cols(store.dim());
+  for (std::size_t j = 0; j < store.dim(); ++j) cols[j] = store.dim_coords(j).data();
+  return cols;
+}
+
 TEST(SimdParity, BoundsNeverExceedExactScores) {
   // The screen's soundness condition, checked directly on each table that
-  // carries the bound ops: no lower bound is above the exact raw score
+  // carries the bound ops: no screen value is above the exact raw score
   // tile_scores produces for the same pair.  NaN compares false, so it
   // passes (it never rejects); +∞ over a finite score would fail.  Both
-  // the call that computes the tile's point norms and a later call that
-  // reuses them are checked, at every mode and at d > 16 around the
-  // vector widths.
+  // the call that narrows the tile and a later call that reuses it are
+  // checked, at every mode and at d > 16 around the vector widths.
   std::size_t checked_tables = 0;
   for (const simd::Isa isa : supported_isas()) {
     const ForcedIsa pin(isa);
@@ -458,31 +513,16 @@ TEST(SimdParity, BoundsNeverExceedExactScores) {
         std::vector<PointD> queries = {points[0], points[n - 1]};
         while (queries.size() < 2 * simd::kQueryBlock) queries.push_back(random_point(dim, mode, rng));
         const FlatStore store(points, ids);
-        std::vector<const double*> cols(dim);
-        for (std::size_t j = 0; j < dim; ++j) cols[j] = store.dim_coords(j).data();
-        std::vector<double> qnorms;
-        for (const PointD& q : queries) {
-          double norm = 0.0;
-          for (const double x : q.coords) norm += x * x;
-          qnorms.push_back(norm);
-        }
+        const std::vector<const double*> cols = column_pointers(store);
         std::vector<double> exact(simd::kQueryBlock * simd::kTile);
-        std::vector<double> bounds(simd::kQueryBlock * simd::kTile);
-        std::vector<double> norms(simd::kTile);
+        ScreenBuffers screen(dim);
         for (std::size_t t0 = 0; t0 < n; t0 += simd::kTile) {
           const std::size_t m = std::min(simd::kTile, n - t0);
           for (std::size_t q0 = 0; q0 < queries.size(); q0 += simd::kQueryBlock) {
-            const double* block[simd::kQueryBlock];
-            for (std::size_t b = 0; b < simd::kQueryBlock; ++b) {
-              block[b] = queries[q0 + b].coords.data();
-            }
-            ops.tile_scores(MetricKind::SquaredEuclidean, cols.data(), block, simd::kQueryBlock,
-                            dim, t0, m, exact.data(), simd::kTile);
-            ops.tile_bounds(cols.data(), block, qnorms.data() + q0, simd::kQueryBlock, dim, t0, m,
-                            norms.data(), q0 == 0, bounds.data(), simd::kTile);
+            score_and_screen_tile(ops, cols, queries, q0, dim, t0, m, screen, exact);
             for (std::size_t b = 0; b < simd::kQueryBlock; ++b) {
               for (std::size_t i = 0; i < m; ++i) {
-                const double lb = bounds[b * simd::kTile + i];
+                const double lb = screen.rows[b * simd::kTile + i];
                 const double score = exact[b * simd::kTile + i];
                 ASSERT_FALSE(lb > score)
                     << simd::isa_name(isa) << " mode=" << static_cast<int>(mode)
@@ -493,6 +533,70 @@ TEST(SimdParity, BoundsNeverExceedExactScores) {
           }
         }
       }
+    }
+  }
+  if (checked_tables == 0) {
+    std::printf("[  NOTE    ] no supported ISA carries the bound ops — nothing to check\n");
+  }
+}
+
+TEST(SimdParity, BoundsAreTight) {
+  // A sound screen that rejects nothing passes every other leg, so this
+  // one pins how much it rejects, at the offline shape: perfbench's d = 64
+  // Gaussian mixture, ℓ = 32, four tiles, two query blocks, as drawn and
+  // shifted by +1e4 in every coordinate (where only the translation keeps
+  // float from cancelling).  Per (query, tile), the pairs whose screen
+  // value lies above the tile's exact ℓ-th score must be at least 90% of
+  // the pairs whose exact score does.
+  constexpr std::size_t kDim = 64;
+  constexpr std::size_t kEll = 32;
+  constexpr std::size_t kPoints = 4 * simd::kTile;
+  std::size_t checked_tables = 0;
+  for (const simd::Isa isa : supported_isas()) {
+    const ForcedIsa pin(isa);
+    const simd::KernelOps& ops = simd::kernel_ops();
+    if (ops.tile_bounds == nullptr) continue;  // the scalar reference never screens
+    ++checked_tables;
+    for (const double offset : {0.0, 1e4}) {
+      Rng rng(8);
+      const GaussianMixture mixture(ClusterSpec{kDim, 16, 10.0, 12.0}, rng);
+      std::vector<PointD> points;
+      for (LabeledPoint& sample : mixture.sample(kPoints, rng)) points.push_back(std::move(sample.x));
+      std::vector<PointD> queries;
+      for (LabeledPoint& sample : mixture.sample(2 * simd::kQueryBlock, rng)) {
+        queries.push_back(std::move(sample.x));
+      }
+      for (std::vector<PointD>* set : {&points, &queries}) {
+        for (PointD& p : *set) {
+          for (double& x : p.coords) x += offset;
+        }
+      }
+      std::vector<PointId> ids(kPoints);
+      for (std::size_t i = 0; i < kPoints; ++i) ids[i] = i;
+      const FlatStore store(points, ids);
+      const std::vector<const double*> cols = column_pointers(store);
+      std::vector<double> exact(simd::kQueryBlock * simd::kTile);
+      ScreenBuffers screen(kDim);
+      std::size_t exact_rejects = 0;
+      std::size_t screen_rejects = 0;
+      for (std::size_t t0 = 0; t0 < kPoints; t0 += simd::kTile) {
+        for (std::size_t q0 = 0; q0 < queries.size(); q0 += simd::kQueryBlock) {
+          score_and_screen_tile(ops, cols, queries, q0, kDim, t0, simd::kTile, screen, exact);
+          for (std::size_t b = 0; b < simd::kQueryBlock; ++b) {
+            const double* row = exact.data() + b * simd::kTile;
+            std::vector<double> sorted(row, row + simd::kTile);
+            std::nth_element(sorted.begin(), sorted.begin() + (kEll - 1), sorted.end());
+            const double ell_th = sorted[kEll - 1];
+            for (std::size_t i = 0; i < simd::kTile; ++i) {
+              exact_rejects += row[i] > ell_th ? 1 : 0;
+              screen_rejects += screen.rows[b * simd::kTile + i] > ell_th ? 1 : 0;
+            }
+          }
+        }
+      }
+      EXPECT_GE(static_cast<double>(screen_rejects), 0.9 * static_cast<double>(exact_rejects))
+          << simd::isa_name(isa) << " offset=" << offset << ": the screen rejects "
+          << screen_rejects << " of the " << exact_rejects << " pairs an exact screen would";
     }
   }
   if (checked_tables == 0) {
