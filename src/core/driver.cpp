@@ -4,6 +4,7 @@
 #include <cmath>
 #include <thread>
 
+#include "core/batch_runner.hpp"
 #include "core/binsearch.hpp"
 #include "core/saukas_song.hpp"
 #include "core/simple_knn.hpp"
@@ -11,109 +12,6 @@
 #include "support/panic.hpp"
 
 namespace dknn {
-namespace {
-
-/// Per-machine slot the programs write into; merged after the run.
-struct Slot {
-  std::vector<Key> selected;
-  std::uint32_t iterations = 0;
-  std::uint32_t attempts = 1;
-  std::uint64_t candidates = 0;
-  bool prune_ok = true;
-};
-
-/// One algorithm invocation for one query — shared by the single-query and
-/// batched programs.
-Task<void> knn_step(Ctx& ctx, std::vector<Key> mine, std::uint64_t ell, KnnAlgo algo,
-                    KnnConfig knn_config, Slot& slot) {
-  switch (algo) {
-    case KnnAlgo::DistKnn: {
-      KnnLocal local = co_await dist_knn(ctx, std::move(mine), ell, knn_config);
-      slot.selected = std::move(local.selected);
-      slot.iterations = local.select_iterations;
-      slot.attempts = local.attempts;
-      slot.candidates = local.candidates;
-      slot.prune_ok = local.prune_ok;
-      break;
-    }
-    case KnnAlgo::CappedSelect: {
-      // §2.2's direct variant: zero pruning attempts drop straight into
-      // Algorithm 1 over the kℓ capped points.
-      KnnConfig direct = knn_config;
-      direct.max_retries = 0;
-      KnnLocal local = co_await dist_knn(ctx, std::move(mine), ell, direct);
-      slot.selected = std::move(local.selected);
-      slot.iterations = local.select_iterations;
-      slot.candidates = local.candidates;
-      break;
-    }
-    case KnnAlgo::Simple: {
-      SimpleKnnLocal local =
-          co_await simple_knn(ctx, std::move(mine), ell, SimpleKnnConfig{knn_config.leader, true});
-      slot.selected = std::move(local.selected);
-      break;
-    }
-    case KnnAlgo::SaukasSong: {
-      SaukasSongLocal local =
-          co_await saukas_song_select(ctx, std::move(mine), ell, SaukasSongConfig{knn_config.leader});
-      slot.selected = std::move(local.selected);
-      slot.iterations = local.iterations;
-      break;
-    }
-    case KnnAlgo::BinSearch: {
-      BinSearchLocal local =
-          co_await binsearch_select(ctx, std::move(mine), ell, BinSearchConfig{knn_config.leader});
-      slot.selected = std::move(local.selected);
-      slot.iterations = local.probes;
-      break;
-    }
-  }
-}
-
-Task<void> knn_program(Ctx& ctx, const std::vector<std::vector<Key>>* shards, std::uint64_t ell,
-                       KnnAlgo algo, KnnConfig knn_config, std::vector<Slot>* slots) {
-  co_await knn_step(ctx, (*shards)[ctx.id()], ell, algo, knn_config, (*slots)[ctx.id()]);
-}
-
-/// Batched program: one engine run drives every query through the
-/// algorithm back to back; per-sender FIFO delivery keeps consecutive
-/// instances separated (see session.hpp's pipelining note).
-/// `finished[q][m]` records the round in which machine m finished query q.
-Task<void> knn_batch_program(Ctx& ctx, const std::vector<std::vector<std::vector<Key>>>* batch,
-                             std::uint64_t ell, KnnAlgo algo, KnnConfig knn_config,
-                             std::vector<std::vector<Slot>>* slots,
-                             std::vector<std::vector<std::uint64_t>>* finished) {
-  for (std::size_t q = 0; q < batch->size(); ++q) {
-    co_await knn_step(ctx, (*batch)[q][ctx.id()], ell, algo, knn_config,
-                      (*slots)[q][ctx.id()]);
-    (*finished)[q][ctx.id()] = ctx.current_round();
-  }
-}
-
-Task<void> select_program(Ctx& ctx, const std::vector<std::vector<Key>>* shards,
-                          std::uint64_t ell, SelectConfig select_config,
-                          std::vector<Slot>* slots) {
-  SelectLocal local = co_await dist_select(ctx, (*shards)[ctx.id()], ell, select_config);
-  (*slots)[ctx.id()].selected = std::move(local.selected);
-  (*slots)[ctx.id()].iterations = local.iterations;
-}
-
-GlobalRunResult merge_slots(std::vector<Slot> slots, RunReport report, MachineId leader) {
-  GlobalRunResult out;
-  out.report = std::move(report);
-  for (auto& slot : slots) {
-    out.keys.insert(out.keys.end(), slot.selected.begin(), slot.selected.end());
-  }
-  std::sort(out.keys.begin(), out.keys.end());
-  const Slot& lead = slots[leader];
-  out.iterations = lead.iterations;
-  out.attempts = lead.attempts;
-  out.candidates = lead.candidates;
-  out.prune_ok = lead.prune_ok;
-  return out;
-}
-
-}  // namespace
 
 std::vector<ScalarShard> make_scalar_shards(std::vector<Value> values, std::uint32_t k,
                                             PartitionScheme scheme, Rng& rng) {
@@ -497,41 +395,146 @@ GuardedScoreBatch score_serve_snapshots_batch_guarded(
   return score_snapshots(snapshots, queries, ell, kind, &health, config);
 }
 
-BatchRunResult run_knn_batch(const std::vector<std::vector<std::vector<Key>>>& scored_batch,
-                             std::uint64_t ell, KnnAlgo algo, const EngineConfig& engine_config,
-                             const KnnConfig& knn_config) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one shard");
-  for (const auto& per_shard : scored_batch) {
-    DKNN_REQUIRE(per_shard.size() == world, "all queries must cover the same shards");
-  }
+namespace {
 
+/// Machine m's program: the prologue, then every query's step and epilogue.
+/// It writes slots[q][m], finished[q][m] (the round it finished query q)
+/// and, with a prologue, elected[m] (its leader and the round the prologue
+/// ended).
+Task<void> batch_program(Ctx& ctx, const detail::BatchHooks* hooks, MachineId leader,
+                         std::vector<std::vector<detail::QuerySlot>>* slots,
+                         std::vector<std::vector<std::uint64_t>>* finished,
+                         std::vector<std::pair<MachineId, std::uint64_t>>* elected) {
+  if (hooks->prologue) {
+    leader = co_await hooks->prologue(ctx);
+    (*elected)[ctx.id()] = {leader, ctx.current_round()};
+  }
+  for (std::size_t q = 0; q < slots->size(); ++q) {
+    detail::QuerySlot& slot = (*slots)[q][ctx.id()];
+    co_await hooks->step(ctx, q, leader, slot);
+    if (hooks->epilogue) co_await hooks->epilogue(ctx, q, leader, slot);
+    (*finished)[q][ctx.id()] = ctx.current_round();
+  }
+}
+
+/// A one-query run's answer under the whole run's report.
+GlobalRunResult whole_run(detail::BatchRun run) {
+  GlobalRunResult out = std::move(run.result.per_query.front());
+  out.report = std::move(run.result.report);
+  return out;
+}
+
+/// run_selection's step: Algorithm 1 over this machine's keys.
+Task<void> select_step(Ctx& ctx, std::vector<Key> mine, std::uint64_t ell,
+                       SelectConfig select_config, MachineId leader, detail::QuerySlot& slot) {
+  select_config.leader = leader;
+  SelectLocal local = co_await dist_select(ctx, std::move(mine), ell, select_config);
+  slot.selected = std::move(local.selected);
+  slot.iterations = local.iterations;
+}
+
+}  // namespace
+
+namespace detail {
+
+Task<void> knn_step(Ctx& ctx, std::vector<Key> mine, std::uint64_t ell, KnnAlgo algo,
+                    KnnConfig knn_config, MachineId leader, QuerySlot& slot) {
+  knn_config.leader = leader;
+  switch (algo) {
+    case KnnAlgo::DistKnn:
+    case KnnAlgo::CappedSelect: {
+      // CappedSelect is §2.2's direct variant: zero pruning attempts drop
+      // straight into Algorithm 1 over the kℓ capped points (one attempt,
+      // nothing pruned).
+      if (algo == KnnAlgo::CappedSelect) knn_config.max_retries = 0;
+      KnnLocal local = co_await dist_knn(ctx, std::move(mine), ell, knn_config);
+      slot.selected = std::move(local.selected);
+      slot.iterations = local.select_iterations;
+      slot.attempts = local.attempts;
+      slot.candidates = local.candidates;
+      slot.prune_ok = local.prune_ok;
+      break;
+    }
+    case KnnAlgo::Simple: {
+      SimpleKnnLocal local =
+          co_await simple_knn(ctx, std::move(mine), ell, SimpleKnnConfig{leader, true});
+      slot.selected = std::move(local.selected);
+      break;
+    }
+    case KnnAlgo::SaukasSong: {
+      SaukasSongLocal local =
+          co_await saukas_song_select(ctx, std::move(mine), ell, SaukasSongConfig{leader});
+      slot.selected = std::move(local.selected);
+      slot.iterations = local.iterations;
+      break;
+    }
+    case KnnAlgo::BinSearch: {
+      BinSearchLocal local =
+          co_await binsearch_select(ctx, std::move(mine), ell, BinSearchConfig{leader});
+      slot.selected = std::move(local.selected);
+      slot.iterations = local.probes;
+      break;
+    }
+  }
+}
+
+std::size_t batch_world(const std::vector<std::vector<std::vector<Key>>>& batch) {
+  DKNN_REQUIRE(!batch.empty(), "need at least one query");
+  const std::size_t world = batch.front().size();
+  DKNN_REQUIRE(world > 0, "need at least one machine");
+  for (const auto& per_machine : batch) {
+    DKNN_REQUIRE(per_machine.size() == world, "all queries must cover the same machines");
+  }
+  return world;
+}
+
+BatchRun run_batch(std::uint32_t world, std::size_t queries, MachineId leader,
+                   const EngineConfig& engine_config, const BatchHooks& hooks) {
   EngineConfig config = engine_config;
-  config.world_size = static_cast<std::uint32_t>(world);
+  config.world_size = world;
   Engine engine(config);
-  std::vector<std::vector<Slot>> slots(scored_batch.size(), std::vector<Slot>(world));
-  std::vector<std::vector<std::uint64_t>> finished(scored_batch.size(),
-                                                   std::vector<std::uint64_t>(world, 0));
+  std::vector<std::vector<QuerySlot>> slots(queries, std::vector<QuerySlot>(world));
+  std::vector<std::vector<std::uint64_t>> finished(queries, std::vector<std::uint64_t>(world, 0));
+  std::vector<std::pair<MachineId, std::uint64_t>> elected(hooks.prologue ? world : 0);
   RunReport report = engine.run([&](Ctx& ctx) {
-    return knn_batch_program(ctx, &scored_batch, ell, algo, knn_config, &slots, &finished);
+    return batch_program(ctx, &hooks, leader, &slots, &finished, &elected);
   });
 
-  BatchRunResult result;
-  result.per_query.reserve(scored_batch.size());
-  // Query q owns the rounds after the last machine finished query q − 1,
-  // up to the last round any machine spent on q: F(q) − F(q − 1) with
-  // F(−1) = −1, where F(q) is the latest round any machine finished q.
+  BatchRun out{{{}, std::move(report)}, elected.empty() ? leader : elected[0].first};
   std::uint64_t after_previous = 0;  // F(q − 1) + 1
-  for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    GlobalRunResult one = merge_slots(std::move(slots[q]), RunReport{}, knn_config.leader);
+  for (const auto& [machine_leader, round] : elected) {
+    DKNN_ASSERT(machine_leader == out.leader, "machines disagree on the leader");
+    after_previous = std::max(after_previous, round + 1);
+  }
+  if (!elected.empty()) out.prologue_rounds = elected[out.leader].second;
+  out.result.per_query.reserve(queries);
+  for (std::size_t q = 0; q < queries; ++q) {
+    const QuerySlot& lead = slots[q][out.leader];
+    GlobalRunResult one{{}, {}, lead.iterations, lead.attempts, lead.candidates, lead.prune_ok};
+    for (const QuerySlot& slot : slots[q]) {
+      one.keys.insert(one.keys.end(), slot.selected.begin(), slot.selected.end());
+    }
+    std::sort(one.keys.begin(), one.keys.end());
     const std::uint64_t through = *std::max_element(finished[q].begin(), finished[q].end()) + 1;
     one.report.rounds = through - after_previous;
     after_previous = through;
-    result.per_query.push_back(std::move(one));
+    out.result.per_query.push_back(std::move(one));
   }
-  result.report = std::move(report);
-  return result;
+  return out;
+}
+
+}  // namespace detail
+
+BatchRunResult run_knn_batch(const std::vector<std::vector<std::vector<Key>>>& scored_batch,
+                             std::uint64_t ell, KnnAlgo algo, const EngineConfig& engine_config,
+                             const KnnConfig& knn_config) {
+  const std::size_t world = detail::batch_world(scored_batch);
+  const auto step = [&](Ctx& ctx, std::size_t q, MachineId leader, detail::QuerySlot& slot) {
+    return detail::knn_step(ctx, scored_batch[q][ctx.id()], ell, algo, knn_config, leader, slot);
+  };
+  return detail::run_batch(static_cast<std::uint32_t>(world), scored_batch.size(),
+                           knn_config.leader, engine_config, {.step = std::ref(step)})
+      .result;
 }
 
 const char* knn_algo_name(KnnAlgo algo) {
@@ -549,28 +552,23 @@ GlobalRunResult run_knn(const std::vector<std::vector<Key>>& scored_shards, std:
                         KnnAlgo algo, const EngineConfig& engine_config,
                         const KnnConfig& knn_config) {
   DKNN_REQUIRE(!scored_shards.empty(), "need at least one shard");
-  EngineConfig config = engine_config;
-  config.world_size = static_cast<std::uint32_t>(scored_shards.size());
-  Engine engine(config);
-  std::vector<Slot> slots(scored_shards.size());
-  RunReport report = engine.run([&](Ctx& ctx) {
-    return knn_program(ctx, &scored_shards, ell, algo, knn_config, &slots);
-  });
-  return merge_slots(std::move(slots), std::move(report), knn_config.leader);
+  const auto step = [&](Ctx& ctx, std::size_t, MachineId leader, detail::QuerySlot& slot) {
+    return detail::knn_step(ctx, scored_shards[ctx.id()], ell, algo, knn_config, leader, slot);
+  };
+  return whole_run(detail::run_batch(static_cast<std::uint32_t>(scored_shards.size()), 1,
+                                     knn_config.leader, engine_config, {.step = std::ref(step)}));
 }
 
 GlobalRunResult run_selection(const std::vector<std::vector<Key>>& key_shards, std::uint64_t ell,
                               const EngineConfig& engine_config,
                               const SelectConfig& select_config) {
   DKNN_REQUIRE(!key_shards.empty(), "need at least one shard");
-  EngineConfig config = engine_config;
-  config.world_size = static_cast<std::uint32_t>(key_shards.size());
-  Engine engine(config);
-  std::vector<Slot> slots(key_shards.size());
-  RunReport report = engine.run([&](Ctx& ctx) {
-    return select_program(ctx, &key_shards, ell, select_config, &slots);
-  });
-  return merge_slots(std::move(slots), std::move(report), select_config.leader);
+  const auto step = [&](Ctx& ctx, std::size_t, MachineId leader, detail::QuerySlot& slot) {
+    return select_step(ctx, key_shards[ctx.id()], ell, select_config, leader, slot);
+  };
+  return whole_run(detail::run_batch(static_cast<std::uint32_t>(key_shards.size()), 1,
+                                     select_config.leader, engine_config,
+                                     {.step = std::ref(step)}));
 }
 
 QuantileResult run_quantile(const std::vector<std::vector<Key>>& key_shards, double phi,

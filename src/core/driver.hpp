@@ -305,9 +305,13 @@ struct BatchRunResult {
   /// would return for that query alone; its `report` carries only that
   /// query's round count (traffic/compute are whole-batch, below): the
   /// rounds from the one after the last machine finished the previous
-  /// query through the last round any machine spent on this one.  Query 0
-  /// (and a one-query batch) thus counts what run_knn counts for it alone,
-  /// and the counts sum to at most `report.rounds`.
+  /// query through the last round any machine spent on this one, i.e.
+  /// F(q) − F(q − 1) with F(q) the latest round any machine finished q and
+  /// F(−1) = −1.  Query 0 (and a one-query batch) thus counts what run_knn
+  /// counts for it alone, and the counts sum to `report.rounds`.  One batch
+  /// runner drives run_knn, run_knn_batch, run_selection, the
+  /// classify/regress entries and the sessions, so this is also the
+  /// sessions' rule (session.hpp); a session's election ends F(−1).
   std::vector<GlobalRunResult> per_query;
   /// Whole-batch engine report: one engine, B queries — setup, scheduling
   /// and warm-up amortize across the batch.

@@ -636,7 +636,7 @@ std::vector<ClassifyResult> KnnService::classify_batch(std::span<const PointD> q
   // concurrent erase can never strand a winner without its label.  Dead
   // machines' shards drop out of the vote.
   const auto scored = score_snapshot(state, *snap, queries, state.config.ell,
-                                     state.config.metric, state.scoring.approx)
+                                     state.config.metric, approx_by_default(state.config))
                           .scored;
   auto results = classify_scored_batch(scored, snap->labels, state.config.ell,
                                        state.config.engine, state.config.knn, rule);
@@ -662,7 +662,7 @@ std::vector<RegressResult> KnnService::regress_batch(std::span<const PointD> que
 
   // Dead machines' shards drop out of the mean.
   const auto scored = score_snapshot(state, *snap, queries, state.config.ell,
-                                     state.config.metric, state.scoring.approx)
+                                     state.config.metric, approx_by_default(state.config))
                           .scored;
   auto results = regress_scored_batch(scored, snap->targets, state.config.ell,
                                       state.config.engine, state.config.knn);

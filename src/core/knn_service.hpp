@@ -147,6 +147,9 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
   /// Scoring-step execution knobs.  `scoring.pool` may point at an
   /// external pool; otherwise the service owns one when threads != 1.
+  /// The facade ignores `scoring.approx`: query, classify and regress all
+  /// answer approximately exactly when the stores' policy is Approx
+  /// (QueryOptions::approx overrides it per query/query_batch call).
   BatchScoringConfig scoring{};
   EngineConfig engine{};
   KnnConfig knn{};

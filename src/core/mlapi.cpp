@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <map>
 #include <string>
 #include <type_traits>
 
+#include "core/batch_runner.hpp"
 #include "core/protocol.hpp"
 #include "data/validate.hpp"
 #include "sim/collectives.hpp"
@@ -14,53 +16,21 @@
 namespace dknn {
 namespace {
 
-/// Generic payload collector: after dist_knn, each machine annotates its
-/// winning keys with a 64-bit payload word (label or bit-cast target) and
-/// ships them to the leader; the leader ends up with exactly the global
-/// winners' payloads.
-struct MlSlot {
-  std::vector<Key> selected;
-  std::uint32_t iterations = 0;
-  std::uint32_t attempts = 1;
-  std::uint64_t candidates = 0;
-  bool prune_ok = true;
-  std::vector<std::pair<Key, std::uint64_t>> winners;  ///< leader only
-};
-
 using KeyedPayload = std::pair<Key, std::uint64_t>;
 using ScoredBatch = std::vector<std::vector<std::vector<Key>>>;
 
-/// Every query of the block runs its select-and-gather back to back inside
-/// one engine (see session.hpp's pipelining note for why instances don't
-/// mix).
-template <typename Lookup>
-Task<void> ml_batch_program(Ctx& ctx, const ScoredBatch* batch, std::uint64_t ell,
-                            KnnConfig knn_config, Lookup lookup,
-                            std::vector<std::vector<MlSlot>>* slots) {
-  for (std::size_t q = 0; q < batch->size(); ++q) {
-    MlSlot& slot = (*slots)[q][ctx.id()];
-    KnnLocal local = co_await dist_knn(ctx, (*batch)[q][ctx.id()], ell, knn_config);
-    slot.selected = local.selected;
-    slot.iterations = local.select_iterations;
-    slot.attempts = local.attempts;
-    slot.candidates = local.candidates;
-    slot.prune_ok = local.prune_ok;
-
-    std::vector<KeyedPayload> mine;
-    mine.reserve(local.selected.size());
-    for (const Key& key : local.selected) mine.emplace_back(key, lookup(ctx.id(), key.id));
-
-    // Gather winners at the leader (one message per non-leader machine; the
-    // winners number ℓ in total so the volume is O(ℓ log n) bits).
-    auto gathered = co_await gather<std::vector<KeyedPayload>>(ctx, knn_config.leader,
-                                                               tags::kMlPayload, mine);
-    if (ctx.id() == knn_config.leader) {
-      std::vector<KeyedPayload> winners;
-      for (auto& part : gathered) winners.insert(winners.end(), part.begin(), part.end());
-      std::sort(winners.begin(), winners.end());
-      slot.winners = std::move(winners);
-    }
-  }
+/// The epilogue of a classify/regress query: this machine's winners, each
+/// annotated with its 64-bit payload word (label or bit-cast target), go to
+/// the leader (one message per non-leader machine; the winners number ℓ in
+/// total, so the volume is O(ℓ log n) bits), which keeps them sorted in
+/// `winners`.
+Task<void> gather_payloads(Ctx& ctx, std::vector<KeyedPayload> mine, MachineId leader,
+                           std::vector<KeyedPayload>* winners) {
+  auto gathered =
+      co_await gather<std::vector<KeyedPayload>>(ctx, leader, tags::kMlPayload, mine);
+  if (ctx.id() != leader) co_return;
+  for (auto& part : gathered) winners->insert(winners->end(), part.begin(), part.end());
+  std::sort(winners->begin(), winners->end());
 }
 
 /// Leader-side vote: fills result.votes and result.label from the winners.
@@ -108,25 +78,13 @@ struct Mean {
   }
 };
 
-GlobalRunResult make_run_result(std::vector<MlSlot>& slots, RunReport report, MachineId leader) {
-  GlobalRunResult run;
-  run.report = std::move(report);
-  for (auto& slot : slots) run.keys.insert(run.keys.end(), slot.selected.begin(), slot.selected.end());
-  std::sort(run.keys.begin(), run.keys.end());
-  run.iterations = slots[leader].iterations;
-  run.attempts = slots[leader].attempts;
-  run.candidates = slots[leader].candidates;
-  run.prune_ok = slots[leader].prune_ok;
-  return run;
-}
-
 /// The one body behind every classify/regress entry: pre-scored
 /// [query][machine] keys, `tables` payload tables with `table(m)` pointing
-/// at machine m's id → label or target map, one engine run over all
-/// queries, and `finish` voting or averaging at the leader.  Looking
-/// payloads up in the caller's tables (instead of materialized copies)
-/// lets the facade serve them straight from its snapshot.  The whole-batch
-/// report rides on result 0.
+/// at machine m's id → label or target map, one batch run of Algorithm 2
+/// with the payload gather as its epilogue, and `finish` voting or
+/// averaging at the leader.  Looking payloads up in the caller's tables
+/// (instead of materialized copies) lets the facade serve them straight
+/// from its snapshot.  The whole-batch report rides on result 0.
 template <typename Table, typename Finish>
 std::vector<typename Finish::Result> ml_scored_batch(const ScoredBatch& scored_batch,
                                                      std::size_t tables, const Table& table,
@@ -134,9 +92,7 @@ std::vector<typename Finish::Result> ml_scored_batch(const ScoredBatch& scored_b
                                                      const EngineConfig& engine_config,
                                                      const KnnConfig& knn_config,
                                                      const Finish& finish) {
-  DKNN_REQUIRE(!scored_batch.empty(), "need at least one query");
-  const std::size_t world = scored_batch.front().size();
-  DKNN_REQUIRE(world > 0, "need at least one machine");
+  const std::size_t world = detail::batch_world(scored_batch);
   DKNN_REQUIRE(tables == world, "scored/payload tables must align");
   for (std::size_t m = 0; m < world; ++m) DKNN_REQUIRE(table(m) != nullptr, "null payload table");
 
@@ -158,19 +114,27 @@ std::vector<typename Finish::Result> ml_scored_batch(const ScoredBatch& scored_b
       return it->second;
     }
   };
-  EngineConfig config = engine_config;
-  config.world_size = static_cast<std::uint32_t>(world);
-  Engine engine(config);
-  std::vector<std::vector<MlSlot>> slots(scored_batch.size(), std::vector<MlSlot>(world));
-  RunReport report = engine.run([&](Ctx& ctx) {
-    return ml_batch_program(ctx, &scored_batch, ell, knn_config, lookup, &slots);
-  });
+  std::vector<std::vector<KeyedPayload>> winners(scored_batch.size());  // at the leader
+  const auto step = [&](Ctx& ctx, std::size_t q, MachineId leader, detail::QuerySlot& slot) {
+    return detail::knn_step(ctx, scored_batch[q][ctx.id()], ell, KnnAlgo::DistKnn, knn_config,
+                            leader, slot);
+  };
+  const auto epilogue = [&](Ctx& ctx, std::size_t q, MachineId leader,
+                            const detail::QuerySlot& slot) {
+    std::vector<KeyedPayload> mine;
+    mine.reserve(slot.selected.size());
+    for (const Key& key : slot.selected) mine.emplace_back(key, lookup(ctx.id(), key.id));
+    return gather_payloads(ctx, std::move(mine), leader, &winners[q]);
+  };
+  detail::BatchRun run =
+      detail::run_batch(static_cast<std::uint32_t>(world), scored_batch.size(), knn_config.leader,
+                        engine_config, {.step = std::ref(step), .epilogue = std::ref(epilogue)});
 
   std::vector<typename Finish::Result> results(scored_batch.size());
   for (std::size_t q = 0; q < scored_batch.size(); ++q) {
-    results[q].run = make_run_result(slots[q], q == 0 ? std::move(report) : RunReport{},
-                                     knn_config.leader);
-    finish(results[q], slots[q][knn_config.leader].winners);
+    results[q].run = std::move(run.result.per_query[q]);
+    results[q].run.report = q == 0 ? std::move(run.result.report) : RunReport{};
+    finish(results[q], winners[q]);
   }
   return results;
 }
@@ -183,6 +147,37 @@ ScoredBatch one_query_batch(const std::vector<Shard>& shards) {
   batch[0].reserve(shards.size());
   for (const auto& shard : shards) batch[0].push_back(shard.scored);
   return batch;
+}
+
+// The batched dataset-level entries compose the decomposed stages
+// directly: make_shard_indexes → score_vector_shards_batch →
+// classify/regress_scored_batch.  KnnService::classify_batch/regress_batch
+// score the same shards sealed into its stores instead (byte equality
+// against the facade is asserted in tests/test_service.cpp); composing here
+// lets a one-shot call borrow the caller's shards instead of copying them
+// into a throwaway service.  Resident callers should hold a KnnService and
+// amortize the index build across batches.
+
+/// Their shared front half: the scored block, and payloads[m][i] (a label
+/// or target) keyed by shards[m].ids[i].
+template <typename T>
+std::pair<ScoredBatch, std::vector<std::unordered_map<PointId, T>>> score_dataset(
+    const std::vector<VectorShard>& shards, const std::vector<std::vector<T>>& payloads,
+    std::span<const PointD> queries, std::uint64_t ell, MetricKind kind, ScoringPolicy policy,
+    const BatchScoringConfig& scoring) {
+  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
+  DKNN_REQUIRE(!queries.empty(), "need at least one query");
+  DKNN_REQUIRE(shards.size() == payloads.size(), "shards/payloads must align");
+  std::vector<std::unordered_map<PointId, T>> by_id(shards.size());
+  for (std::size_t m = 0; m < shards.size(); ++m) {
+    DKNN_REQUIRE(shards[m].points.size() == payloads[m].size(), "points/payloads must align");
+    by_id[m].reserve(shards[m].ids.size());
+    for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
+      by_id[m].emplace(shards[m].ids[i], payloads[m][i]);
+    }
+  }
+  const std::vector<ShardIndex> indexes = make_shard_indexes(shards, policy);
+  return {score_vector_shards_batch(indexes, queries, ell, kind, scoring), std::move(by_id)};
 }
 
 }  // namespace
@@ -243,15 +238,6 @@ std::vector<RegressResult> regress_scored_batch(
       ell, engine_config, knn_config, Mean{});
 }
 
-// The batched dataset-level entries compose the decomposed stages
-// directly: make_shard_indexes → score_vector_shards_batch →
-// classify/regress_scored_batch.  KnnService::classify_batch/regress_batch
-// score the same shards sealed into its stores instead (byte equality
-// against the facade is asserted in tests/test_service.cpp); composing here
-// lets a one-shot call borrow the caller's shards instead of copying them
-// into a throwaway service.  Resident callers should hold a KnnService and
-// amortize the index build across batches.
-
 std::vector<ClassifyResult> classify_batch(const std::vector<VectorShard>& shards,
                                            const std::vector<std::vector<std::uint32_t>>& labels,
                                            std::span<const PointD> queries, std::uint64_t ell,
@@ -259,21 +245,8 @@ std::vector<ClassifyResult> classify_batch(const std::vector<VectorShard>& shard
                                            const KnnConfig& knn_config, VoteRule rule,
                                            MetricKind kind, ScoringPolicy policy,
                                            const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  DKNN_REQUIRE(shards.size() == labels.size(), "shards/labels must align");
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    DKNN_REQUIRE(shards[m].points.size() == labels[m].size(), "points/labels must align");
-  }
-  const std::vector<ShardIndex> indexes = make_shard_indexes(shards, policy);
-  const auto scored = score_vector_shards_batch(indexes, queries, ell, kind, scoring);
-  std::vector<std::unordered_map<PointId, std::uint32_t>> labels_by_id(shards.size());
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    labels_by_id[m].reserve(shards[m].ids.size());
-    for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
-      labels_by_id[m].emplace(shards[m].ids[i], labels[m][i]);
-    }
-  }
+  const auto [scored, labels_by_id] =
+      score_dataset(shards, labels, queries, ell, kind, policy, scoring);
   return classify_scored_batch(scored, labels_by_id, ell, engine_config, knn_config, rule);
 }
 
@@ -284,21 +257,8 @@ std::vector<RegressResult> regress_batch(const std::vector<VectorShard>& shards,
                                          const KnnConfig& knn_config, MetricKind kind,
                                          ScoringPolicy policy,
                                          const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  DKNN_REQUIRE(shards.size() == targets.size(), "shards/targets must align");
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    DKNN_REQUIRE(shards[m].points.size() == targets[m].size(), "points/targets must align");
-  }
-  const std::vector<ShardIndex> indexes = make_shard_indexes(shards, policy);
-  const auto scored = score_vector_shards_batch(indexes, queries, ell, kind, scoring);
-  std::vector<std::unordered_map<PointId, double>> targets_by_id(shards.size());
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    targets_by_id[m].reserve(shards[m].ids.size());
-    for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
-      targets_by_id[m].emplace(shards[m].ids[i], targets[m][i]);
-    }
-  }
+  const auto [scored, targets_by_id] =
+      score_dataset(shards, targets, queries, ell, kind, policy, scoring);
   return regress_scored_batch(scored, targets_by_id, ell, engine_config, knn_config);
 }
 

@@ -9,8 +9,11 @@
 ///
 /// Flow per query: score locally → Algorithm 2 picks the global ℓ-NN →
 /// each machine ships (key, label/target) for its winners to the leader
-/// (≤ ℓ messages total across machines — the winners are exactly ℓ) → the
-/// leader votes/averages and broadcasts the prediction.
+/// (one message per non-leader machine; the winners are exactly ℓ) → the
+/// leader votes/averages.  A classify/regress batch is run_knn_batch's
+/// batch run (driver.hpp) with that payload gather as each query's
+/// epilogue: same keys, same Algorithm 2 traffic, plus k − 1 messages per
+/// query.
 ///
 /// Privacy note for the hospitals example: only distances, ids, and the
 /// winners' labels ever cross the network — never the feature vectors.

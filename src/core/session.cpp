@@ -1,58 +1,61 @@
 #include "core/session.hpp"
 
-#include <algorithm>
+#include <functional>
 
+#include "core/batch_runner.hpp"
 #include "support/panic.hpp"
 
 namespace dknn {
-namespace detail {
+namespace {
 
-SessionResult assemble_session(std::vector<SessionSlot> slots, RunReport report,
-                               std::size_t num_queries) {
-  SessionResult result;
-  result.report = std::move(report);
-  result.leader = slots[0].leader;
-  for (const auto& slot : slots) {
-    DKNN_ASSERT(slot.leader == result.leader, "machines disagree on the leader");
-  }
-  result.election_rounds = slots[result.leader].election_rounds;
-  result.queries.resize(num_queries);
-  // Query q's rounds are F(q) − F(q − 1), where F(q) is the latest round
-  // any machine finished q and F(−1) the election's last round (the
-  // program starts at round 0, so that is the largest election count).
-  std::uint64_t previous = 0;
-  for (const auto& slot : slots) previous = std::max(previous, slot.election_rounds);
+/// The session prologue: one election; every machine learns the leader.
+Task<MachineId> elect_leader(Ctx& ctx, ElectionProtocol protocol) {
+  if (protocol == ElectionProtocol::MinId) co_return (co_await elect_min_id(ctx)).leader;
+  co_return (co_await elect_sublinear(ctx)).leader;
+}
+
+/// Both frontends: `scorer(m, q)` is machine m's scored keys for query q,
+/// computed inside the run (local scoring is free in the model).
+template <typename Scorer>
+SessionResult run_session_queries(std::uint32_t world, const Scorer& scorer,
+                                  std::size_t num_queries, std::uint64_t ell,
+                                  const EngineConfig& engine_config,
+                                  const SessionConfig& session_config) {
+  const auto elect = [protocol = session_config.election](Ctx& ctx) {
+    return elect_leader(ctx, protocol);
+  };
+  const auto step = [&](Ctx& ctx, std::size_t q, MachineId leader, detail::QuerySlot& slot) {
+    return detail::knn_step(ctx, scorer(ctx.id(), q), ell, KnnAlgo::DistKnn, session_config.knn,
+                            leader, slot);
+  };
+  detail::BatchHooks hooks{.step = std::ref(step)};
+  if (session_config.election != ElectionProtocol::None) hooks.prologue = std::ref(elect);
+  detail::BatchRun run =
+      detail::run_batch(world, num_queries, session_config.knn.leader, engine_config, hooks);
+
+  SessionResult result{run.leader, run.prologue_rounds, {}, std::move(run.result.report)};
+  result.queries.reserve(num_queries);
   for (std::size_t q = 0; q < num_queries; ++q) {
-    auto& out = result.queries[q];
-    out.index = q;
-    std::uint64_t finished = 0;
-    for (const auto& slot : slots) {
-      out.keys.insert(out.keys.end(), slot.selected[q].begin(), slot.selected[q].end());
-      finished = std::max(finished, slot.finished[q]);
-    }
-    std::sort(out.keys.begin(), out.keys.end());
-    const auto& lead = slots[result.leader];
-    out.rounds = finished - previous;
-    previous = finished;
-    out.attempts = lead.attempts[q];
-    out.candidates = lead.candidates[q];
+    GlobalRunResult& one = run.result.per_query[q];
+    result.queries.push_back(
+        {q, 0, std::move(one.keys), one.report.rounds, one.attempts, one.candidates});
   }
   return result;
 }
 
-}  // namespace detail
+}  // namespace
 
 SessionResult run_scalar_session(const std::vector<ScalarShard>& shards,
                                  std::span<const Value> queries, std::uint64_t ell,
                                  const EngineConfig& engine_config,
                                  const SessionConfig& session_config) {
   DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  auto scorer = [&shards, queries](MachineId machine, std::size_t qi) {
-    return score_scalar_shard(shards[machine], queries[qi]);
+  const auto scorer = [&shards, queries](MachineId machine, std::size_t q) {
+    return score_scalar_shard(shards[machine], queries[q]);
   };
   SessionResult result =
-      detail::run_session(static_cast<std::uint32_t>(shards.size()), scorer, queries.size(),
-                          ell, engine_config, session_config);
+      run_session_queries(static_cast<std::uint32_t>(shards.size()), scorer, queries.size(), ell,
+                          engine_config, session_config);
   for (std::size_t q = 0; q < queries.size(); ++q) result.queries[q].query = queries[q];
   return result;
 }
@@ -64,14 +67,14 @@ SessionResult run_vector_session(const std::vector<ShardIndex>& indexes,
   DKNN_REQUIRE(!indexes.empty(), "need at least one index");
   // One scratch per machine: machines may run on parallel executor threads.
   std::vector<KernelScratch> scratch(indexes.size());
-  auto scorer = [&indexes, &scratch, queries, ell](MachineId machine, std::size_t qi) {
+  const auto scorer = [&indexes, &scratch, queries, ell](MachineId machine, std::size_t q) {
     std::vector<std::vector<Key>> out;
-    shard_top_ell_batch(indexes[machine], nullptr, queries.subspan(qi, 1),
+    shard_top_ell_batch(indexes[machine], nullptr, queries.subspan(q, 1),
                         static_cast<std::size_t>(ell), MetricKind::Euclidean,
                         /*approx=*/false, out, scratch[machine]);
     return std::move(out[0]);
   };
-  return detail::run_session(static_cast<std::uint32_t>(indexes.size()), scorer, queries.size(),
+  return run_session_queries(static_cast<std::uint32_t>(indexes.size()), scorer, queries.size(),
                              ell, engine_config, session_config);
 }
 

@@ -79,13 +79,6 @@ std::vector<std::uint32_t> MachineHealth::dead_set() const {
   return out;
 }
 
-std::uint32_t MachineHealth::expected_total() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint32_t total = 0;
-  for (const MachineState s : states_) total += s != MachineState::Retired ? 1 : 0;
-  return total;
-}
-
 std::uint64_t MachineHealth::generation() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return generation_;

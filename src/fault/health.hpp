@@ -152,8 +152,6 @@ class MachineHealth {
   [[nodiscard]] std::vector<std::uint32_t> alive_set() const;
   /// Dead (not Retired) machine ids, ascending.
   [[nodiscard]] std::vector<std::uint32_t> dead_set() const;
-  /// Machines expected to answer: everything not Retired.
-  [[nodiscard]] std::uint32_t expected_total() const;
 
   /// Monotone liveness-state counter: bumped by every kill / detection /
   /// revive / retire.  Caches mix this into their epoch key so answers

@@ -21,16 +21,6 @@ std::size_t Network::link_index(MachineId src, MachineId dst) const {
   return static_cast<std::size_t>(src) * config_.world_size + dst;
 }
 
-void Network::set_send_filter(SendFilter filter) {
-  if (!filter) {
-    filter_ = nullptr;
-    return;
-  }
-  filter_ = [f = std::move(filter)](const Envelope& env) {
-    return FaultDecision{f(env) ? FaultAction::Deliver : FaultAction::Drop, 0};
-  };
-}
-
 void Network::send(Envelope env) {
   DKNN_REQUIRE(env.src < config_.world_size, "send: bad source machine");
   DKNN_REQUIRE(env.dst < config_.world_size, "send: bad destination machine");

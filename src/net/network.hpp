@@ -52,10 +52,6 @@ struct NetworkConfig {
   std::uint64_t ingress_bits_per_round = 0;
 };
 
-/// Optional interception hook (fault injection, tracing). Returning false
-/// drops the message silently.
-using SendFilter = std::function<bool(const Envelope&)>;
-
 /// What a fault filter decided for one message.
 enum class FaultAction : std::uint8_t {
   Deliver,    ///< normal transmission
@@ -69,11 +65,10 @@ struct FaultDecision {
   std::uint64_t delay_rounds = 0;  ///< Delay only; 0 behaves like Deliver
 };
 
-/// Generalized interception hook: per message, deliver / drop / delay /
-/// duplicate.  `set_send_filter` wraps the boolean form into this one, so
-/// a plain drop filter behaves exactly as before.  The network owns the
-/// installed std::function (shared ownership of any state it captures) —
-/// installers may be destroyed before or during the run.
+/// Optional interception hook (fault injection, tracing): per message,
+/// deliver / drop / delay / duplicate.  The network owns the installed
+/// std::function (shared ownership of any state it captures) — installers
+/// may be destroyed before or during the run.
 using FaultFilter = std::function<FaultDecision(const Envelope&)>;
 
 class Network {
@@ -105,9 +100,6 @@ public:
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
-  /// Boolean drop filter (false = drop), byte-compatible with the original
-  /// hook: wrapped into a FaultFilter that never delays or duplicates.
-  void set_send_filter(SendFilter filter);
   void set_fault_filter(FaultFilter filter) { filter_ = std::move(filter); }
 
   /// Round at which the current send() calls are stamped; set by the engine.

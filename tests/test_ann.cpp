@@ -25,6 +25,7 @@
 #include "data/generators.hpp"
 #include "data/kernels.hpp"
 #include "data/simd/dispatch.hpp"
+#include "obs/metrics.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "serve/segment_store.hpp"
@@ -454,6 +455,38 @@ TEST(AnnService, StaticApproxRoutingAndCacheSeparation) {
   const QueryResult exact_again = svc.query(queries[0], force_exact);
   EXPECT_TRUE(exact_again.cache_hit);
   expect_same_keys(reference.keys, exact_again.keys, "cached exact override");
+}
+
+TEST(AnnService, ClassifyFollowsTheApproxPolicy) {
+  // One decision routes every read path: on an Approx-policy service
+  // classify_batch beam-searches the graphs exactly like query_batch.
+  const std::size_t n = 6000, dim = 8;
+  Rng rng(53);
+  std::vector<PointD> points = uniform_points(n, dim, 100.0, rng);
+  std::vector<std::uint32_t> labels(n);
+  for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<std::uint32_t>(i % 5);
+  ann::AnnConfig ann_config;
+  ann_config.min_points = 1024;
+  KnnService svc = KnnServiceBuilder()
+                       .machines(2)
+                       .ell(16)
+                       .policy(ScoringPolicy::Approx)
+                       .ann(ann_config)
+                       .dataset(std::move(points))
+                       .labels(std::move(labels))
+                       .build();
+  const std::vector<PointD> queries = uniform_points(8, dim, 100.0, rng);
+  const obs::Counter& searches = obs::registry().counter("dknn_ann_searches_total");
+  const std::uint64_t before = searches.value();
+  const std::vector<ClassifyResult> votes = svc.classify_batch(queries);
+  EXPECT_GT(searches.value(), before);
+  const BatchQueryResult answers = svc.query_batch(queries);
+  ASSERT_EQ(votes.size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    std::vector<Key> vote_keys;
+    for (const auto& [key, label] : votes[q].votes) vote_keys.push_back(key);
+    expect_same_keys(answers.per_query[q].keys, vote_keys, "classify vs query_batch");
+  }
 }
 
 TEST(AnnService, LiveApproxNeverReturnsErased) {

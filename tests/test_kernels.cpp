@@ -467,6 +467,15 @@ TEST(BatchDriver, PerQueryRoundsMatchRunKnnAlone) {
       sum += one.report.rounds;
     }
     EXPECT_EQ(sum, batch.report.rounds);
+    // The parallel executor counts the same rounds.
+    EngineConfig parallel = engine;
+    parallel.parallel = true;
+    parallel.threads = 4;
+    const auto par = run_knn_batch(scored, ell, KnnAlgo::DistKnn, parallel);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(par.per_query[q].report.rounds, batch.per_query[q].report.rounds);
+      expect_same_keys(batch.per_query[q].keys, par.per_query[q].keys, "parallel batch");
+    }
   }
 }
 

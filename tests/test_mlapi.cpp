@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "core/mlapi.hpp"
@@ -166,6 +167,58 @@ TEST(Classify, SingleShardWorks) {
                                         EuclideanMetric{});
   const auto result = classify_distributed(shards, 5, engine_for(4));
   EXPECT_EQ(result.label, reference_classify(fx, fx.all_points[0], 5));
+}
+
+TEST(ClassifyBatch, PayloadGatherAddsOneMessagePerFollowerPerQuery) {
+  constexpr std::uint32_t k = 8;
+  auto fx = make_classify_fixture(600, k, 21);
+  const auto indexes = make_shard_indexes(fx.shards, ScoringPolicy::Brute);
+  Rng qrng(22);
+  const auto queries = uniform_points(5, 2, 120.0, qrng);
+  constexpr std::uint64_t ell = 15;
+  const auto scored = score_vector_shards_batch(indexes, queries, ell, MetricKind::Euclidean);
+  std::vector<std::unordered_map<PointId, std::uint32_t>> labels(k);
+  for (std::uint32_t m = 0; m < k; ++m) {
+    for (std::size_t i = 0; i < fx.shards[m].ids.size(); ++i) {
+      labels[m].emplace(fx.shards[m].ids[i], fx.labels[m][i]);
+    }
+  }
+  const auto results = classify_scored_batch(scored, labels, ell, engine_for(23));
+  const auto batch = run_knn_batch(scored, ell, KnnAlgo::DistKnn, engine_for(23));
+  ASSERT_EQ(results.size(), queries.size());
+  EXPECT_EQ(results[0].run.report.traffic.messages_sent(),
+            batch.report.traffic.messages_sent() + queries.size() * (k - 1));
+  EXPECT_GT(results[0].run.report.rounds, batch.report.rounds);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(results[q].run.keys, batch.per_query[q].keys) << "query " << q;
+    EXPECT_EQ(results[q].run.attempts, batch.per_query[q].attempts) << "query " << q;
+    EXPECT_EQ(results[q].run.candidates, batch.per_query[q].candidates) << "query " << q;
+    if (q == 0) continue;
+    // The whole-batch report rides on result 0 only.
+    EXPECT_EQ(results[q].run.report.rounds, 0u) << "query " << q;
+    EXPECT_EQ(results[q].run.report.traffic.messages_sent(), 0u) << "query " << q;
+    EXPECT_TRUE(results[q].run.report.round_max_comp_ns.empty()) << "query " << q;
+  }
+  // The parallel executor runs the same gathers.
+  EngineConfig parallel = engine_for(23);
+  parallel.parallel = true;
+  parallel.threads = 4;
+  const auto par = classify_scored_batch(scored, labels, ell, parallel);
+  EXPECT_EQ(par[0].run.report.rounds, results[0].run.report.rounds);
+  EXPECT_EQ(par[0].run.report.traffic.messages_sent(),
+            results[0].run.report.traffic.messages_sent());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(par[q].label, results[q].label) << "query " << q;
+    EXPECT_EQ(par[q].votes, results[q].votes) << "query " << q;
+  }
+}
+
+TEST(ClassifyBatch, RaggedBatchIsRejected) {
+  // Query 1 misses machine 1: a typed error, never a read past its row.
+  const std::vector<std::vector<std::vector<Key>>> scored = {{{Key{1, 1}}, {Key{2, 2}}},
+                                                             {{Key{3, 1}}}};
+  const std::vector<std::unordered_map<PointId, std::uint32_t>> labels = {{{1, 0u}}, {{2, 1u}}};
+  EXPECT_THROW((void)classify_scored_batch(scored, labels, 1, engine_for(1)), InvariantError);
 }
 
 // --- regression -----------------------------------------------------------------------

@@ -205,6 +205,110 @@ TEST(VectorSession, EmptyShardsMixedIn) {
   }
 }
 
+// --- the batch runner's round rule -------------------------------------------------
+
+/// k = 8, 4,096 values, 4 queries: at ℓ = 16 every query ends at the
+/// finish, at ℓ = 64 Algorithm 1 runs.
+struct RoundFixture {
+  std::vector<ScalarShard> shards = shard_fixture(4096, 8, 16);
+  std::vector<Value> queries = query_fixture(4, 18);
+  EngineConfig engine = engine_for(20);
+};
+
+std::vector<std::uint64_t> rounds_of(const SessionResult& session) {
+  std::vector<std::uint64_t> rounds;
+  for (const auto& sq : session.queries) rounds.push_back(sq.rounds);
+  return rounds;
+}
+
+std::vector<std::uint64_t> rounds_of(const BatchRunResult& batch) {
+  std::vector<std::uint64_t> rounds;
+  for (const auto& one : batch.per_query) rounds.push_back(one.report.rounds);
+  return rounds;
+}
+
+std::uint64_t sum_of(const std::vector<std::uint64_t>& rounds) {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t r : rounds) sum += r;
+  return sum;
+}
+
+TEST(SessionRounds, ScalarWithoutElectionCountsLikeRunKnnBatch) {
+  const RoundFixture fx;
+  SessionConfig config;
+  config.election = ElectionProtocol::None;
+  for (const std::uint64_t ell : {16u, 64u}) {
+    std::vector<std::vector<std::vector<Key>>> scored;
+    for (const Value q : fx.queries) scored.push_back(score_scalar_shards(fx.shards, q));
+    const BatchRunResult batch = run_knn_batch(scored, ell, KnnAlgo::DistKnn, fx.engine);
+    const SessionResult session = run_scalar_session(fx.shards, fx.queries, ell, fx.engine, config);
+    EXPECT_EQ(rounds_of(session), rounds_of(batch)) << "ell " << ell;
+    EXPECT_EQ(sum_of(rounds_of(session)), session.report.rounds) << "ell " << ell;
+    EXPECT_EQ(session.report.rounds, batch.report.rounds) << "ell " << ell;
+    EXPECT_EQ(session.report.traffic.messages_sent(), batch.report.traffic.messages_sent());
+    EXPECT_EQ(session.election_rounds, 0u);
+    EXPECT_EQ(session.queries[0].rounds, ell == 16 ? 3u : 39u) << "ell " << ell;
+  }
+}
+
+TEST(SessionRounds, VectorWithoutElectionCountsLikeRunKnnBatch) {
+  constexpr std::uint32_t k = 6;
+  Rng rng(36);
+  auto shards = make_vector_shards(uniform_points(3000, 3, 80.0, rng), k,
+                                   PartitionScheme::Random, rng);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Tree);
+  const auto queries = uniform_points(5, 3, 90.0, rng);
+  SessionConfig config;
+  config.election = ElectionProtocol::None;
+  for (const std::uint64_t ell : {16u, 64u}) {
+    const auto scored =
+        score_vector_shards_batch(indexes, queries, ell, MetricKind::Euclidean);
+    const BatchRunResult batch = run_knn_batch(scored, ell, KnnAlgo::DistKnn, engine_for(37));
+    const SessionResult session = run_vector_session(indexes, queries, ell, engine_for(37), config);
+    EXPECT_EQ(rounds_of(session), rounds_of(batch)) << "ell " << ell;
+    EXPECT_EQ(sum_of(rounds_of(session)), session.report.rounds) << "ell " << ell;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(session.queries[q].keys, batch.per_query[q].keys) << "query " << q;
+    }
+  }
+}
+
+TEST(SessionRounds, ElectionsKeepTheirRounds) {
+  // Pinned counts for sessions that elect: query 0's rounds start after the
+  // election's last round (F(−1)).  These per-query rounds, election rounds
+  // and report values must not move.
+  struct Pin {
+    ElectionProtocol election;
+    std::uint64_t ell;
+    std::vector<std::uint64_t> rounds;
+    std::uint64_t election_rounds;
+    std::uint64_t total_rounds;
+    std::uint64_t messages;
+    std::uint64_t bits;
+  };
+  const Pin pins[] = {
+      {ElectionProtocol::MinId, 16, {2, 2, 2, 2}, 1, 10, 560, 67648},
+      {ElectionProtocol::Sublinear, 16, {2, 2, 2, 2}, 3, 12, 581, 68936},
+      {ElectionProtocol::MinId, 64, {38, 36, 58, 34}, 1, 168, 2238, 310184},
+      {ElectionProtocol::Sublinear, 64, {44, 38, 42, 42}, 3, 170, 2259, 311472},
+  };
+  const RoundFixture fx;
+  for (const Pin& pin : pins) {
+    SessionConfig config;
+    config.election = pin.election;
+    const SessionResult session =
+        run_scalar_session(fx.shards, fx.queries, pin.ell, fx.engine, config);
+    const auto name = static_cast<int>(pin.election);
+    EXPECT_EQ(rounds_of(session), pin.rounds) << "election " << name << " ell " << pin.ell;
+    EXPECT_EQ(session.election_rounds, pin.election_rounds) << "election " << name;
+    EXPECT_EQ(session.report.rounds, pin.total_rounds) << "election " << name;
+    EXPECT_EQ(session.report.traffic.messages_sent(), pin.messages) << "election " << name;
+    EXPECT_EQ(session.report.traffic.bits_sent(), pin.bits) << "election " << name;
+    // The per-query counts start after the election's last round.
+    EXPECT_EQ(session.election_rounds + sum_of(pin.rounds) + 1, session.report.rounds);
+  }
+}
+
 TEST(Session, ParallelExecutorMatchesSequential) {
   const auto shards = shard_fixture(2048, 8, 24);
   const auto queries = query_fixture(5, 25);
@@ -216,6 +320,27 @@ TEST(Session, ParallelExecutorMatchesSequential) {
   const auto par = run_scalar_session(shards, queries, 64, par_config);
   EXPECT_EQ(seq.leader, par.leader);
   EXPECT_EQ(seq.report.rounds, par.report.rounds);
+  EXPECT_EQ(rounds_of(seq), rounds_of(par));
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(seq.queries[q].keys, par.queries[q].keys);
+  }
+}
+
+TEST(VectorSession, ParallelExecutorMatchesSequential) {
+  Rng rng(27);
+  auto shards = make_vector_shards(uniform_points(1200, 3, 80.0, rng), 6,
+                                   PartitionScheme::Random, rng);
+  const auto indexes = make_shard_indexes(shards, ScoringPolicy::Tree);
+  const auto queries = uniform_points(4, 3, 90.0, rng);
+  auto seq_config = engine_for(28);
+  auto par_config = seq_config;
+  par_config.parallel = true;
+  par_config.threads = 4;
+  const auto seq = run_vector_session(indexes, queries, 32, seq_config);
+  const auto par = run_vector_session(indexes, queries, 32, par_config);
+  EXPECT_EQ(seq.leader, par.leader);
+  EXPECT_EQ(seq.report.rounds, par.report.rounds);
+  EXPECT_EQ(rounds_of(seq), rounds_of(par));
   for (std::size_t q = 0; q < queries.size(); ++q) {
     EXPECT_EQ(seq.queries[q].keys, par.queries[q].keys);
   }
