@@ -2,10 +2,11 @@
 /// \file batch_runner.hpp
 /// \brief Internal, not part of the public API (dknn.hpp does not include
 ///        it): the one engine runner under run_knn, run_knn_batch,
-///        run_selection, the classify/regress entries and the sessions.
+///        run_selection, the classify/regress entries, the sessions and
+///        recovery's survivor election (a run of zero queries).
 ///
 /// A batch run puts B queries through one engine, back to back on every
-/// machine: an optional prologue (a session's election), then per query the
+/// machine: an optional prologue (an election), then per query the
 /// caller's step (Algorithm 2 through knn_step, or Algorithm 1) and an
 /// optional epilogue (classification's payload gather).  Per-sender FIFO
 /// delivery keeps consecutive queries apart (session.hpp's pipelining
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/driver.hpp"  // KnnAlgo, BatchRunResult, and the engine types
+#include "election/election.hpp"
 
 namespace dknn::detail {
 
@@ -39,9 +41,9 @@ struct QuerySlot {
 /// lambdas as std::ref(lambda): a std::function holding a reference_wrapper
 /// never allocates.
 struct BatchHooks {
-  /// Optional, once per machine before query 0; returns the leader that
+  /// Optional, once per machine before query 0: an election, whose leader
   /// every step, epilogue and the merge use.
-  std::function<Task<MachineId>(Ctx&)> prologue{};
+  std::function<Task<ElectionOutcome>(Ctx&)> prologue{};
   /// Query q on one machine: fills `slot`.
   std::function<Task<void>(Ctx&, std::size_t q, MachineId leader, QuerySlot& slot)> step{};
   /// Optional, after query q's step on the same machine.
@@ -55,6 +57,7 @@ struct BatchRun {
   BatchRunResult result;
   MachineId leader = kNoMachine;      ///< the prologue's, else the caller's
   std::uint64_t prologue_rounds = 0;  ///< the round the leader ended the prologue
+  std::uint32_t attempts = 1;         ///< the prologue election's attempts
 };
 
 /// Runs `queries` queries over `world` machines in one engine; `leader`
@@ -65,6 +68,12 @@ struct BatchRun {
 /// The machine count of a [query][machine] batch.  Throws unless the batch
 /// has a query and a machine, and every query covers the same machines.
 [[nodiscard]] std::size_t batch_world(const std::vector<std::vector<std::vector<Key>>>& batch);
+
+/// The prologue of every election caller: min-id or the sublinear
+/// protocol.  An if, never a conditional expression with a co_await in
+/// each arm: g++ 12 runs both arms of one, so both elections would run and
+/// be paid.
+[[nodiscard]] Task<ElectionOutcome> elect_leader(Ctx& ctx, bool min_id);
 
 /// The step of every Algorithm 2 caller: `algo` over this machine's keys
 /// for one query, led by `leader` (it replaces knn_config.leader).

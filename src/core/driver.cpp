@@ -399,15 +399,16 @@ namespace {
 
 /// Machine m's program: the prologue, then every query's step and epilogue.
 /// It writes slots[q][m], finished[q][m] (the round it finished query q)
-/// and, with a prologue, elected[m] (its leader and the round the prologue
-/// ended).
+/// and, with a prologue, elected[m] (its election and the round the
+/// prologue ended).
 Task<void> batch_program(Ctx& ctx, const detail::BatchHooks* hooks, MachineId leader,
                          std::vector<std::vector<detail::QuerySlot>>* slots,
                          std::vector<std::vector<std::uint64_t>>* finished,
-                         std::vector<std::pair<MachineId, std::uint64_t>>* elected) {
+                         std::vector<std::pair<ElectionOutcome, std::uint64_t>>* elected) {
   if (hooks->prologue) {
-    leader = co_await hooks->prologue(ctx);
-    (*elected)[ctx.id()] = {leader, ctx.current_round()};
+    const ElectionOutcome outcome = co_await hooks->prologue(ctx);
+    leader = outcome.leader;
+    (*elected)[ctx.id()] = {outcome, ctx.current_round()};
   }
   for (std::size_t q = 0; q < slots->size(); ++q) {
     detail::QuerySlot& slot = (*slots)[q][ctx.id()];
@@ -495,18 +496,21 @@ BatchRun run_batch(std::uint32_t world, std::size_t queries, MachineId leader,
   Engine engine(config);
   std::vector<std::vector<QuerySlot>> slots(queries, std::vector<QuerySlot>(world));
   std::vector<std::vector<std::uint64_t>> finished(queries, std::vector<std::uint64_t>(world, 0));
-  std::vector<std::pair<MachineId, std::uint64_t>> elected(hooks.prologue ? world : 0);
+  std::vector<std::pair<ElectionOutcome, std::uint64_t>> elected(hooks.prologue ? world : 0);
   RunReport report = engine.run([&](Ctx& ctx) {
     return batch_program(ctx, &hooks, leader, &slots, &finished, &elected);
   });
 
-  BatchRun out{{{}, std::move(report)}, elected.empty() ? leader : elected[0].first};
+  BatchRun out{{{}, std::move(report)}, elected.empty() ? leader : elected[0].first.leader};
   std::uint64_t after_previous = 0;  // F(q − 1) + 1
-  for (const auto& [machine_leader, round] : elected) {
-    DKNN_ASSERT(machine_leader == out.leader, "machines disagree on the leader");
+  for (const auto& [outcome, round] : elected) {
+    DKNN_ASSERT(outcome.leader == out.leader, "machines disagree on the leader");
     after_previous = std::max(after_previous, round + 1);
   }
-  if (!elected.empty()) out.prologue_rounds = elected[out.leader].second;
+  if (!elected.empty()) {
+    out.prologue_rounds = elected[out.leader].second;
+    out.attempts = elected[0].first.attempts;
+  }
   out.result.per_query.reserve(queries);
   for (std::size_t q = 0; q < queries; ++q) {
     const QuerySlot& lead = slots[q][out.leader];

@@ -14,6 +14,56 @@
 #include "support/panic.hpp"
 
 namespace dknn {
+namespace {
+
+/// One payload kind's id → value table per machine (labels: std::uint32_t,
+/// targets: double), shared by both modes: a live store's membership
+/// churns, so positional arrays cannot label it.  Copy-on-write: a
+/// published Snapshot shares these maps, so mutators never edit one in
+/// place — they clone, edit the clone, and swap the pointer.
+template <typename Value>
+struct PayloadTables {
+  using Table = std::unordered_map<PointId, Value>;
+  bool present = false;  ///< given at build or by an insert
+  std::vector<std::shared_ptr<const Table>> tables;
+
+  [[nodiscard]] std::optional<Value> find(std::size_t machine, PointId id) const {
+    const auto it = tables[machine]->find(id);
+    if (it == tables[machine]->end()) return std::nullopt;
+    return it->second;
+  }
+
+  /// Writes the value each record carries in `field` (if any) to the
+  /// table of machine homes[i], cloning each touched table once.
+  void write(std::span<const ReplicaRecord> records, std::span<const std::size_t> homes,
+             std::optional<Value> ReplicaRecord::*field) {
+    std::vector<std::shared_ptr<Table>> fresh;  // sized at the first value
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const std::optional<Value>& value = records[i].*field;
+      if (!value.has_value()) continue;
+      fresh.resize(tables.size());
+      std::shared_ptr<Table>& table = fresh[homes[i]];
+      if (table == nullptr) table = std::make_shared<Table>(*tables[homes[i]]);
+      (*table)[records[i].id] = *value;
+      present = true;
+    }
+    for (std::size_t m = 0; m < fresh.size(); ++m) {
+      if (fresh[m] != nullptr) tables[m] = std::move(fresh[m]);
+    }
+  }
+
+  void clear(std::size_t machine) { tables[machine] = std::make_shared<const Table>(); }
+
+  /// Drops `id` from one machine's table (no-op when absent).
+  void erase(std::size_t machine, PointId id) {
+    if (tables[machine]->count(id) == 0) return;
+    auto next = std::make_shared<Table>(*tables[machine]);
+    next->erase(id);
+    tables[machine] = std::move(next);
+  }
+};
+
+}  // namespace
 
 // --- the published read-path view --------------------------------------------
 
@@ -37,11 +87,9 @@ struct KnnService::Snapshot {
   /// step reports it missing), and empty iff it was Retired (its points
   /// live on survivors — skipped silently).
   std::vector<SnapshotPtr> stores;
-  /// COW payload tables for classify/regress, aligned with the stores.
-  std::vector<std::shared_ptr<const std::unordered_map<PointId, std::uint32_t>>> labels;
-  std::vector<std::shared_ptr<const std::unordered_map<PointId, double>>> targets;
-  bool has_labels = false;
-  bool has_targets = false;
+  /// The payload tables for classify/regress, aligned with the stores.
+  PayloadTables<std::uint32_t> labels;
+  PayloadTables<double> targets;
 };
 
 /// One waiting query() call in the leader/follower coalescing seat.  Owned
@@ -77,14 +125,8 @@ struct KnnService::State {
   std::vector<std::unique_ptr<SegmentStore>> stores;
   std::uint64_t next_machine = 0;  ///< round-robin insert routing
 
-  // id → payload per machine, shared by both modes (a live store's
-  // membership churns, so positional arrays cannot label it).  Copy-on-
-  // write: a published Snapshot shares these maps, so mutators never edit
-  // one in place — they clone, edit the clone, and swap the pointer.
-  bool has_labels = false;
-  bool has_targets = false;
-  std::vector<std::shared_ptr<const std::unordered_map<PointId, std::uint32_t>>> labels;
-  std::vector<std::shared_ptr<const std::unordered_map<PointId, double>>> targets;
+  PayloadTables<std::uint32_t> labels;
+  PayloadTables<double> targets;
 
   // Fault-tolerant mode only: the liveness registry gating every scoring
   // step, the recovery mirror (live mode — what re-shards a dead machine's
@@ -159,16 +201,6 @@ template <typename SnapPtr>
   return slot;
 }
 
-/// COW-erase `id` from one machine's payload table (no-op when absent).
-template <typename Value>
-void erase_payload(std::vector<std::shared_ptr<const std::unordered_map<PointId, Value>>>& tables,
-                   std::size_t machine, PointId id) {
-  if (tables[machine]->count(id) == 0) return;
-  auto next = std::make_shared<std::unordered_map<PointId, Value>>(*tables[machine]);
-  next->erase(id);
-  tables[machine] = std::move(next);
-}
-
 /// Facade metrics (obs/metrics.hpp), process-wide across services.  The
 /// query/hit/miss counters move together at the end of run_batch_core, so
 /// hits + misses == queries holds by construction at every quiescent read
@@ -201,8 +233,6 @@ ServiceMetrics& service_metrics() {
 
 void KnnService::publish_locked(State& state) {
   auto snap = std::make_shared<Snapshot>();
-  snap->has_labels = state.has_labels;
-  snap->has_targets = state.has_targets;
   snap->labels = state.labels;
   snap->targets = state.targets;
   snap->epoch = state.epoch();
@@ -619,30 +649,38 @@ QueryResult KnnService::query(const PointD& point, const QueryOptions& options) 
   return std::move(slot.result);
 }
 
-std::vector<ClassifyResult> KnnService::classify_batch(std::span<const PointD> queries,
-                                                       VoteRule rule) {
+template <typename Result, typename Tables, typename Stage>
+std::vector<Result> KnnService::payload_batch(std::span<const PointD> queries,
+                                              Tables Snapshot::*tables, const char* missing,
+                                              const Stage& stage) {
   State& state = ensure_built();
   const auto snap = load_published(state.snapshot_mutex, state.snapshot);
-  if (!snap->has_labels) {
-    throw ServiceStateError(
-        "dknn: KnnService::classify requires labels (KnnServiceBuilder::labels or "
-        "insert_labeled)");
-  }
+  const Tables& payloads = (*snap).*tables;
+  if (!payloads.present) throw ServiceStateError(missing);
   if (queries.empty()) return {};  // consistent with query_batch
   validate_queries(state.dim, queries);
 
   // One snapshot end to end: the winners come out of the snapshotted
-  // stores and the labels are the tables published with them, so a
-  // concurrent erase can never strand a winner without its label.  Dead
-  // machines' shards drop out of the vote.
+  // stores and the payloads are the tables published with them, so a
+  // concurrent erase can never strand a winner without its payload.  Dead
+  // machines' shards drop out of the vote or the mean.
   const auto scored = score_snapshot(state, *snap, queries, state.config.ell,
                                      state.config.metric, approx_by_default(state.config))
                           .scored;
-  auto results = classify_scored_batch(scored, snap->labels, state.config.ell,
-                                       state.config.engine, state.config.knn, rule);
+  std::vector<Result> results = stage(scored, payloads.tables, state.config);
   state.queries.fetch_add(queries.size(), std::memory_order_relaxed);
   state.batches.fetch_add(1, std::memory_order_relaxed);
   return results;
+}
+
+std::vector<ClassifyResult> KnnService::classify_batch(std::span<const PointD> queries,
+                                                       VoteRule rule) {
+  return payload_batch<ClassifyResult>(
+      queries, &Snapshot::labels,
+      "dknn: KnnService::classify requires labels (KnnServiceBuilder::labels or insert_labeled)",
+      [rule](const auto& scored, const auto& labels, const ServiceConfig& config) {
+        return classify_scored_batch(scored, labels, config.ell, config.engine, config.knn, rule);
+      });
 }
 
 ClassifyResult KnnService::classify(const PointD& point, VoteRule rule) {
@@ -650,25 +688,12 @@ ClassifyResult KnnService::classify(const PointD& point, VoteRule rule) {
 }
 
 std::vector<RegressResult> KnnService::regress_batch(std::span<const PointD> queries) {
-  State& state = ensure_built();
-  const auto snap = load_published(state.snapshot_mutex, state.snapshot);
-  if (!snap->has_targets) {
-    throw ServiceStateError(
-        "dknn: KnnService::regress requires targets (KnnServiceBuilder::targets or "
-        "insert_target)");
-  }
-  if (queries.empty()) return {};  // consistent with query_batch
-  validate_queries(state.dim, queries);
-
-  // Dead machines' shards drop out of the mean.
-  const auto scored = score_snapshot(state, *snap, queries, state.config.ell,
-                                     state.config.metric, approx_by_default(state.config))
-                          .scored;
-  auto results = regress_scored_batch(scored, snap->targets, state.config.ell,
-                                      state.config.engine, state.config.knn);
-  state.queries.fetch_add(queries.size(), std::memory_order_relaxed);
-  state.batches.fetch_add(1, std::memory_order_relaxed);
-  return results;
+  return payload_batch<RegressResult>(
+      queries, &Snapshot::targets,
+      "dknn: KnnService::regress requires targets (KnnServiceBuilder::targets or insert_target)",
+      [](const auto& scored, const auto& targets, const ServiceConfig& config) {
+        return regress_scored_batch(scored, targets, config.ell, config.engine, config.knn);
+      });
 }
 
 RegressResult KnnService::regress(const PointD& point) {
@@ -717,75 +742,51 @@ void KnnService::set_trace_sampling(std::uint64_t sample_every) {
 
 // --- live-serving surface ----------------------------------------------------
 
-std::size_t KnnService::insert_point(State& state, const PointD& point, PointId id) {
-  require_query_dim(state.dim, point.dim());
-  require_finite(point);
+std::uint64_t KnnService::insert_record(ReplicaRecord record) {
+  State& state = ensure_live();
+  const std::lock_guard<std::mutex> lock(state.mutex);
+  require_query_dim(state.dim, record.point.dim());
+  require_finite(record.point);
+  const auto duplicate = [&record] {
+    return PreconditionError("dknn: insert: id " + std::to_string(record.id) + " is already live");
+  };
+  const std::size_t k = state.stores.size();
+  std::size_t machine = k;
   if (state.mirror != nullptr) {
     // Fault-tolerant routing: the mirror answers membership in O(1) (a
     // dead machine's store cannot be probed), and dead machines are
     // skipped — the next alive machine in round-robin order takes the
     // point.  All machines down = typed failure, not a hang.
-    if (state.mirror->contains(id)) {
-      throw PreconditionError("dknn: insert: id " + std::to_string(id) + " is already live");
+    if (state.mirror->contains(record.id)) throw duplicate();
+    for (std::size_t tries = 0; tries < k && machine == k; ++tries) {
+      const std::size_t next = state.next_machine++ % k;
+      if (state.health->alive(next)) machine = next;
     }
-    const std::size_t k = state.stores.size();
-    for (std::size_t tries = 0; tries < k; ++tries) {
-      const std::size_t machine = state.next_machine++ % k;
-      if (!state.health->alive(machine)) continue;
-      state.stores[machine]->insert(point, id);
-      state.mirror->record(machine, ReplicaRecord{point, id, std::nullopt, std::nullopt});
-      return machine;
+    if (machine == k) throw NoLiveMachinesError("dknn: insert: every machine is dead");
+  } else {
+    for (const auto& store : state.stores) {
+      if (store->contains(record.id)) throw duplicate();
     }
-    throw NoLiveMachinesError("dknn: insert: every machine is dead");
+    machine = state.next_machine++ % k;
   }
-  for (const auto& store : state.stores) {
-    if (store->contains(id)) {
-      throw PreconditionError("dknn: insert: id " + std::to_string(id) + " is already live");
-    }
-  }
-  const std::size_t machine = state.next_machine++ % state.stores.size();
-  state.stores[machine]->insert(point, id);
-  return machine;
+  state.stores[machine]->insert(record.point, record.id);
+  state.labels.write({&record, 1}, {&machine, 1}, &ReplicaRecord::label);
+  state.targets.write({&record, 1}, {&machine, 1}, &ReplicaRecord::target);
+  if (state.mirror != nullptr) state.mirror->record(machine, std::move(record));
+  publish_locked(state);
+  return state.epoch();
 }
 
 std::uint64_t KnnService::insert(const PointD& point, PointId id) {
-  State& state = ensure_live();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  insert_point(state, point, id);
-  publish_locked(state);
-  return state.epoch();
+  return insert_record({point, id, std::nullopt, std::nullopt});
 }
 
 std::uint64_t KnnService::insert_labeled(const PointD& point, PointId id, std::uint32_t label) {
-  State& state = ensure_live();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  const std::size_t machine = insert_point(state, point, id);
-  // COW: published snapshots share the old table; clone, edit, swap.
-  auto next =
-      std::make_shared<std::unordered_map<PointId, std::uint32_t>>(*state.labels[machine]);
-  (*next)[id] = label;
-  state.labels[machine] = std::move(next);
-  state.has_labels = true;
-  if (state.mirror != nullptr) {
-    state.mirror->record(machine, ReplicaRecord{point, id, label, std::nullopt});
-  }
-  publish_locked(state);
-  return state.epoch();
+  return insert_record({point, id, label, std::nullopt});
 }
 
 std::uint64_t KnnService::insert_target(const PointD& point, PointId id, double target) {
-  State& state = ensure_live();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  const std::size_t machine = insert_point(state, point, id);
-  auto next = std::make_shared<std::unordered_map<PointId, double>>(*state.targets[machine]);
-  (*next)[id] = target;
-  state.targets[machine] = std::move(next);
-  state.has_targets = true;
-  if (state.mirror != nullptr) {
-    state.mirror->record(machine, ReplicaRecord{point, id, std::nullopt, target});
-  }
-  publish_locked(state);
-  return state.epoch();
+  return insert_record({point, id, std::nullopt, target});
 }
 
 std::optional<std::uint64_t> KnnService::erase(PointId id) {
@@ -796,8 +797,8 @@ std::optional<std::uint64_t> KnnService::erase(PointId id) {
     if (!owner.has_value()) return std::nullopt;
     const std::size_t m = *owner;
     state.mirror->erase(id);
-    erase_payload(state.labels, m, id);
-    erase_payload(state.targets, m, id);
+    state.labels.erase(m, id);
+    state.targets.erase(m, id);
     if (state.health->alive(m)) {
       const bool erased = state.stores[m]->erase(id).has_value();
       DKNN_ASSERT(erased, "fault-tolerant erase: mirror and store disagree");
@@ -814,8 +815,8 @@ std::optional<std::uint64_t> KnnService::erase(PointId id) {
   }
   for (std::size_t m = 0; m < state.stores.size(); ++m) {
     if (state.stores[m]->erase(id).has_value()) {
-      erase_payload(state.labels, m, id);
-      erase_payload(state.targets, m, id);
+      state.labels.erase(m, id);
+      state.targets.erase(m, id);
       publish_locked(state);
       return state.epoch();
     }
@@ -991,36 +992,18 @@ RecoveryReport KnnService::recover_locked(State& state, std::size_t machine) {
   for (std::size_t i = 0; i < alive.size(); ++i) {
     if (alive[i] == election.coordinator) start = i;
   }
-  std::vector<std::shared_ptr<std::unordered_map<PointId, std::uint32_t>>> fresh_labels(
-      state.labels.size());
-  std::vector<std::shared_ptr<std::unordered_map<PointId, double>>> fresh_targets(
-      state.targets.size());
+  std::vector<std::size_t> homes(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    ReplicaRecord& rec = records[i];
-    const std::size_t target = alive[(start + i) % alive.size()];
-    state.stores[target]->insert(rec.point, rec.id);
-    if (rec.label.has_value()) {
-      if (fresh_labels[target] == nullptr) {
-        fresh_labels[target] = std::make_shared<std::unordered_map<PointId, std::uint32_t>>(
-            *state.labels[target]);
-      }
-      (*fresh_labels[target])[rec.id] = *rec.label;
-    }
-    if (rec.target.has_value()) {
-      if (fresh_targets[target] == nullptr) {
-        fresh_targets[target] =
-            std::make_shared<std::unordered_map<PointId, double>>(*state.targets[target]);
-      }
-      (*fresh_targets[target])[rec.id] = *rec.target;
-    }
-    state.mirror->record(target, std::move(rec));
+    homes[i] = alive[(start + i) % alive.size()];
+    state.stores[homes[i]]->insert(records[i].point, records[i].id);
   }
-  for (std::size_t m = 0; m < fresh_labels.size(); ++m) {
-    if (fresh_labels[m] != nullptr) state.labels[m] = std::move(fresh_labels[m]);
-    if (fresh_targets[m] != nullptr) state.targets[m] = std::move(fresh_targets[m]);
+  state.labels.write(records, homes, &ReplicaRecord::label);
+  state.targets.write(records, homes, &ReplicaRecord::target);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    state.mirror->record(homes[i], std::move(records[i]));
   }
-  state.labels[machine] = std::make_shared<std::unordered_map<PointId, std::uint32_t>>();
-  state.targets[machine] = std::make_shared<std::unordered_map<PointId, double>>();
+  state.labels.clear(machine);
+  state.targets.clear(machine);
   state.health->retire(machine);
   publish_locked(state);
 
@@ -1186,6 +1169,42 @@ KnnServiceBuilder& KnnServiceBuilder::targets_sharded(std::vector<std::vector<do
   return *this;
 }
 
+namespace {
+
+/// One payload kind's tables at build (`name`: "labels" or "targets"):
+/// sharded payloads sit beside their shard's rows, flat ones follow their
+/// point through the partition.
+template <typename Value>
+PayloadTables<Value> route_payloads(bool present, const std::string& name, bool sharded_input,
+                                    const std::vector<std::vector<Value>>& sharded,
+                                    const std::vector<Value>& flat,
+                                    const std::vector<VectorShard>& shards,
+                                    const ShardPlacement& placement) {
+  using Table = typename PayloadTables<Value>::Table;
+  std::vector<std::shared_ptr<Table>> tables(shards.size());
+  for (auto& table : tables) table = std::make_shared<Table>();
+  if (present && sharded_input) {
+    const std::string misaligned =
+        "dknn: " + name + "_sharded() must align with dataset_sharded()";
+    if (sharded.size() != shards.size()) throw ServiceStateError(misaligned);
+    for (std::size_t m = 0; m < shards.size(); ++m) {
+      if (sharded[m].size() != shards[m].points.size()) throw ServiceStateError(misaligned);
+      for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
+        tables[m]->emplace(shards[m].ids[i], sharded[m][i]);
+      }
+    }
+  } else if (present) {
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      const auto [machine, row] = placement[i];
+      tables[machine]->emplace(shards[machine].ids[row], flat[i]);
+    }
+  }
+  // The seed of the COW tables: mutators clone-and-swap from here on.
+  return {present, {tables.begin(), tables.end()}};
+}
+
+}  // namespace
+
 KnnService KnnServiceBuilder::build() {
   require_positive_ell(config_.ell);
   if (config_.coalesce_max_batch == 0) {
@@ -1194,6 +1213,11 @@ KnnService KnnServiceBuilder::build() {
   }
   if (have_flat_ && have_sharded_) {
     throw ServiceStateError("dknn: give the builder dataset() or dataset_sharded(), not both");
+  }
+  if (config_.scoring.approx) {
+    throw ServiceStateError(
+        "dknn: ServiceConfig::scoring.approx does not route a KnnService; use "
+        "ScoringPolicy::Approx or QueryOptions::approx");
   }
 
   auto state = std::make_unique<KnnService::State>(config_.cache_capacity,
@@ -1251,49 +1275,10 @@ KnnService KnnServiceBuilder::build() {
   if (const char* error = knn_config_error(config_.knn, static_cast<std::uint32_t>(k))) {
     throw ServiceStateError(error);
   }
-  std::vector<std::unordered_map<PointId, std::uint32_t>> labels(k);
-  std::vector<std::unordered_map<PointId, double>> targets(k);
-  state->has_labels = have_labels_;
-  state->has_targets = have_targets_;
-  if (have_labels_ || have_targets_) {
-    if (have_sharded_) {
-      if (have_labels_ && sharded_labels_.size() != k) {
-        throw ServiceStateError("dknn: labels_sharded() must align with dataset_sharded()");
-      }
-      if (have_targets_ && sharded_targets_.size() != k) {
-        throw ServiceStateError("dknn: targets_sharded() must align with dataset_sharded()");
-      }
-      for (std::size_t m = 0; m < k; ++m) {
-        if (have_labels_ && sharded_labels_[m].size() != shards[m].points.size()) {
-          throw ServiceStateError("dknn: labels_sharded() must align with dataset_sharded()");
-        }
-        if (have_targets_ && sharded_targets_[m].size() != shards[m].points.size()) {
-          throw ServiceStateError("dknn: targets_sharded() must align with dataset_sharded()");
-        }
-        for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
-          if (have_labels_) labels[m].emplace(shards[m].ids[i], sharded_labels_[m][i]);
-          if (have_targets_) targets[m].emplace(shards[m].ids[i], sharded_targets_[m][i]);
-        }
-      }
-    } else {
-      // Flat payloads follow their point through the partition.
-      for (std::size_t i = 0; i < flat_count; ++i) {
-        const auto [machine, row] = placement[i];
-        const PointId id = shards[machine].ids[row];
-        if (have_labels_) labels[machine].emplace(id, flat_labels_[i]);
-        if (have_targets_) targets[machine].emplace(id, flat_targets_[i]);
-      }
-    }
-  }
-  // Seed the COW tables (mutators clone-and-swap from here on).
-  state->labels.reserve(k);
-  state->targets.reserve(k);
-  for (std::size_t m = 0; m < k; ++m) {
-    state->labels.push_back(
-        std::make_shared<std::unordered_map<PointId, std::uint32_t>>(std::move(labels[m])));
-    state->targets.push_back(
-        std::make_shared<std::unordered_map<PointId, double>>(std::move(targets[m])));
-  }
+  state->labels = route_payloads(have_labels_, "labels", have_sharded_, sharded_labels_,
+                                 flat_labels_, shards, placement);
+  state->targets = route_payloads(have_targets_, "targets", have_sharded_, sharded_targets_,
+                                  flat_targets_, shards, placement);
 
   // Dimensionality: from the data, else the explicit builder override.
   std::size_t dim = 0;
@@ -1333,14 +1318,9 @@ KnnService KnnServiceBuilder::build() {
       for (std::size_t m = 0; m < k; ++m) {
         for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
           const PointId id = shards[m].ids[i];
-          ReplicaRecord rec{shards[m].points[i], id, std::nullopt, std::nullopt};
-          if (const auto it = state->labels[m]->find(id); it != state->labels[m]->end()) {
-            rec.label = it->second;
-          }
-          if (const auto it = state->targets[m]->find(id); it != state->targets[m]->end()) {
-            rec.target = it->second;
-          }
-          state->mirror->record(m, std::move(rec));
+          state->mirror->record(m, ReplicaRecord{shards[m].points[i], id,
+                                                 state->labels.find(m, id),
+                                                 state->targets.find(m, id)});
         }
       }
     }

@@ -34,10 +34,11 @@
 /// 4 metrics × brute/tree/auto × static/live): `query_batch` is
 /// byte-identical to composing the free functions yourself —
 /// `score_vector_shards_batch` + `run_knn_batch` in static mode,
-/// `score_serve_snapshots_batch` + `run_knn_batch` in live mode.  The free
-/// functions remain public as the decomposed stages (the batched mlapi
-/// entries compose them directly, without a service); new capabilities
-/// land here once instead of once per path.
+/// `score_serve_snapshots_batch` + `run_knn_batch` in live mode, and
+/// `classify_batch` / `regress_batch` equal the same scoring stages +
+/// `classify_scored_batch` / `regress_scored_batch`.  The free functions
+/// remain public as those decomposed stages; new capabilities land here
+/// once instead of once per path.
 ///
 /// Preconditions are validated centrally (data/validate.hpp) with typed
 /// errors and stable texts instead of per-path panics:
@@ -48,7 +49,7 @@
 ///   * query before build, live-only calls on a static service, classify
 ///     without labels, a KnnConfig whose leader is not a machine or whose
 ///     sample/rank coefficient is negative or non-finite (at build(), with
-///     knn_config_error's text)
+///     knn_config_error's text), a set `scoring.approx` (at build())
 ///                               → ServiceStateError
 /// ℓ > n stays permissive — every path returns min(ℓ, n) keys, exactly
 /// like the free functions.
@@ -147,9 +148,10 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
   /// Scoring-step execution knobs.  `scoring.pool` may point at an
   /// external pool; otherwise the service owns one when threads != 1.
-  /// The facade ignores `scoring.approx`: query, classify and regress all
-  /// answer approximately exactly when the stores' policy is Approx
-  /// (QueryOptions::approx overrides it per query/query_batch call).
+  /// build() rejects `scoring.approx` with ServiceStateError: query,
+  /// classify and regress all answer approximately exactly when the
+  /// stores' policy is Approx (QueryOptions::approx overrides it per
+  /// query/query_batch call).
   BatchScoringConfig scoring{};
   EngineConfig engine{};
   KnnConfig knn{};
@@ -334,7 +336,8 @@ class KnnService {
 
   /// Distributed ℓ-NN classification (majority / inverse-distance vote of
   /// the global winners' labels).  Requires labels at build time (or via
-  /// insert_labeled); equals mlapi's classify_batch over the same shards.
+  /// insert_labeled); equals classify_scored_batch over the same shards
+  /// scored by score_vector_shards_batch.
   [[nodiscard]] ClassifyResult classify(const PointD& point,
                                         VoteRule rule = VoteRule::Majority);
   [[nodiscard]] std::vector<ClassifyResult> classify_batch(std::span<const PointD> queries,
@@ -471,9 +474,17 @@ class KnnService {
   [[nodiscard]] State& ensure_fault_tolerant() const;
   /// Body of recover_machine, mutex already held.
   static RecoveryReport recover_locked(State& state, std::size_t machine);
-  /// Shared body of the insert family: validate, route round-robin,
-  /// insert.  Returns the machine the point landed on.
-  static std::size_t insert_point(State& state, const PointD& point, PointId id);
+  /// The one body of insert, insert_labeled and insert_target: validate,
+  /// route round-robin, insert, write the record's label / target, mirror
+  /// it (fault-tolerant mode) and republish.  Returns the new epoch.
+  std::uint64_t insert_record(ReplicaRecord record);
+  /// The one body of classify_batch and regress_batch: the snapshot's
+  /// `tables` (labels or targets; ServiceStateError(`missing`) when the
+  /// service has none) feed `stage`, the scored-batch stage, over the
+  /// snapshot's scored queries.
+  template <typename Result, typename Tables, typename Stage>
+  std::vector<Result> payload_batch(std::span<const PointD> queries, Tables Snapshot::*tables,
+                                    const char* missing, const Stage& stage);
   /// Rebuilds and atomically publishes the read-path snapshot; called at
   /// the end of every mutation, with the service mutex held.
   static void publish_locked(State& state);

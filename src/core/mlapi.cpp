@@ -46,7 +46,7 @@ struct Vote {
       result.votes.emplace_back(key, label);
       double weight = 1.0;
       if (rule == VoteRule::InverseDistance) {
-        // Ranks from make_labeled_key_shards are encode_distance-encoded.
+        // Every scoring stage encodes ranks with encode_distance.
         weight = 1.0 / (decode_distance(key.rank) + 1e-9);
       }
       tally[label] += weight;
@@ -139,67 +139,7 @@ std::vector<typename Finish::Result> ml_scored_batch(const ScoredBatch& scored_b
   return results;
 }
 
-/// The *_distributed entries' one query as a scored batch.
-template <typename Shard>
-ScoredBatch one_query_batch(const std::vector<Shard>& shards) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  ScoredBatch batch(1);
-  batch[0].reserve(shards.size());
-  for (const auto& shard : shards) batch[0].push_back(shard.scored);
-  return batch;
-}
-
-// The batched dataset-level entries compose the decomposed stages
-// directly: make_shard_indexes → score_vector_shards_batch →
-// classify/regress_scored_batch.  KnnService::classify_batch/regress_batch
-// score the same shards sealed into its stores instead (byte equality
-// against the facade is asserted in tests/test_service.cpp); composing here
-// lets a one-shot call borrow the caller's shards instead of copying them
-// into a throwaway service.  Resident callers should hold a KnnService and
-// amortize the index build across batches.
-
-/// Their shared front half: the scored block, and payloads[m][i] (a label
-/// or target) keyed by shards[m].ids[i].
-template <typename T>
-std::pair<ScoredBatch, std::vector<std::unordered_map<PointId, T>>> score_dataset(
-    const std::vector<VectorShard>& shards, const std::vector<std::vector<T>>& payloads,
-    std::span<const PointD> queries, std::uint64_t ell, MetricKind kind, ScoringPolicy policy,
-    const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!shards.empty(), "need at least one shard");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  DKNN_REQUIRE(shards.size() == payloads.size(), "shards/payloads must align");
-  std::vector<std::unordered_map<PointId, T>> by_id(shards.size());
-  for (std::size_t m = 0; m < shards.size(); ++m) {
-    DKNN_REQUIRE(shards[m].points.size() == payloads[m].size(), "points/payloads must align");
-    by_id[m].reserve(shards[m].ids.size());
-    for (std::size_t i = 0; i < shards[m].ids.size(); ++i) {
-      by_id[m].emplace(shards[m].ids[i], payloads[m][i]);
-    }
-  }
-  const std::vector<ShardIndex> indexes = make_shard_indexes(shards, policy);
-  return {score_vector_shards_batch(indexes, queries, ell, kind, scoring), std::move(by_id)};
-}
-
 }  // namespace
-
-ClassifyResult classify_distributed(const std::vector<LabeledKeyShard>& shards, std::uint64_t ell,
-                                    const EngineConfig& engine_config,
-                                    const KnnConfig& knn_config, VoteRule rule) {
-  auto results = ml_scored_batch(
-      one_query_batch(shards), shards.size(),
-      [&shards](std::size_t m) { return &shards[m].labels; }, ell, engine_config, knn_config,
-      Vote{rule});
-  return std::move(results.front());
-}
-
-RegressResult regress_distributed(const std::vector<TargetKeyShard>& shards, std::uint64_t ell,
-                                  const EngineConfig& engine_config, const KnnConfig& knn_config) {
-  auto results = ml_scored_batch(
-      one_query_batch(shards), shards.size(),
-      [&shards](std::size_t m) { return &shards[m].targets; }, ell, engine_config, knn_config,
-      Mean{});
-  return std::move(results.front());
-}
 
 std::vector<ClassifyResult> classify_scored_batch(
     const std::vector<std::vector<std::vector<Key>>>& scored_batch,
@@ -208,15 +148,6 @@ std::vector<ClassifyResult> classify_scored_batch(
   return ml_scored_batch(
       scored_batch, labels.size(), [&labels](std::size_t m) { return &labels[m]; }, ell,
       engine_config, knn_config, Vote{rule});
-}
-
-std::vector<RegressResult> regress_scored_batch(
-    const std::vector<std::vector<std::vector<Key>>>& scored_batch,
-    const std::vector<std::unordered_map<PointId, double>>& targets, std::uint64_t ell,
-    const EngineConfig& engine_config, const KnnConfig& knn_config) {
-  return ml_scored_batch(
-      scored_batch, targets.size(), [&targets](std::size_t m) { return &targets[m]; }, ell,
-      engine_config, knn_config, Mean{});
 }
 
 std::vector<ClassifyResult> classify_scored_batch(
@@ -236,59 +167,6 @@ std::vector<RegressResult> regress_scored_batch(
   return ml_scored_batch(
       scored_batch, targets.size(), [&targets](std::size_t m) { return targets[m].get(); },
       ell, engine_config, knn_config, Mean{});
-}
-
-std::vector<ClassifyResult> classify_batch(const std::vector<VectorShard>& shards,
-                                           const std::vector<std::vector<std::uint32_t>>& labels,
-                                           std::span<const PointD> queries, std::uint64_t ell,
-                                           const EngineConfig& engine_config,
-                                           const KnnConfig& knn_config, VoteRule rule,
-                                           MetricKind kind, ScoringPolicy policy,
-                                           const BatchScoringConfig& scoring) {
-  const auto [scored, labels_by_id] =
-      score_dataset(shards, labels, queries, ell, kind, policy, scoring);
-  return classify_scored_batch(scored, labels_by_id, ell, engine_config, knn_config, rule);
-}
-
-std::vector<RegressResult> regress_batch(const std::vector<VectorShard>& shards,
-                                         const std::vector<std::vector<double>>& targets,
-                                         std::span<const PointD> queries, std::uint64_t ell,
-                                         const EngineConfig& engine_config,
-                                         const KnnConfig& knn_config, MetricKind kind,
-                                         ScoringPolicy policy,
-                                         const BatchScoringConfig& scoring) {
-  const auto [scored, targets_by_id] =
-      score_dataset(shards, targets, queries, ell, kind, policy, scoring);
-  return regress_scored_batch(scored, targets_by_id, ell, engine_config, knn_config);
-}
-
-// The snapshot-level serve entries stay as the escape hatch for callers
-// who manage their own SegmentStores (a live KnnService owns its stores):
-// thin compositions of the public scoring + scored-batch stages.
-
-std::vector<ClassifyResult> classify_serve_batch(
-    std::span<const SnapshotPtr> snapshots,
-    const std::vector<std::unordered_map<PointId, std::uint32_t>>& labels,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config, VoteRule rule, MetricKind kind,
-    const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!snapshots.empty(), "need at least one machine");
-  DKNN_REQUIRE(snapshots.size() == labels.size(), "snapshots/payloads must align");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  const auto scored = score_serve_snapshots_batch(snapshots, queries, ell, kind, scoring);
-  return classify_scored_batch(scored, labels, ell, engine_config, knn_config, rule);
-}
-
-std::vector<RegressResult> regress_serve_batch(
-    std::span<const SnapshotPtr> snapshots,
-    const std::vector<std::unordered_map<PointId, double>>& targets,
-    std::span<const PointD> queries, std::uint64_t ell, const EngineConfig& engine_config,
-    const KnnConfig& knn_config, MetricKind kind, const BatchScoringConfig& scoring) {
-  DKNN_REQUIRE(!snapshots.empty(), "need at least one machine");
-  DKNN_REQUIRE(snapshots.size() == targets.size(), "snapshots/payloads must align");
-  DKNN_REQUIRE(!queries.empty(), "need at least one query");
-  const auto scored = score_serve_snapshots_batch(snapshots, queries, ell, kind, scoring);
-  return regress_scored_batch(scored, targets, ell, engine_config, knn_config);
 }
 
 }  // namespace dknn

@@ -6,13 +6,16 @@
 #include "support/panic.hpp"
 
 namespace dknn {
-namespace {
+namespace detail {
 
-/// The session prologue: one election; every machine learns the leader.
-Task<MachineId> elect_leader(Ctx& ctx, ElectionProtocol protocol) {
-  if (protocol == ElectionProtocol::MinId) co_return (co_await elect_min_id(ctx)).leader;
-  co_return (co_await elect_sublinear(ctx)).leader;
+Task<ElectionOutcome> elect_leader(Ctx& ctx, bool min_id) {
+  if (min_id) co_return co_await elect_min_id(ctx);
+  co_return co_await elect_sublinear(ctx);
 }
+
+}  // namespace detail
+
+namespace {
 
 /// Both frontends: `scorer(m, q)` is machine m's scored keys for query q,
 /// computed inside the run (local scoring is free in the model).
@@ -21,8 +24,8 @@ SessionResult run_session_queries(std::uint32_t world, const Scorer& scorer,
                                   std::size_t num_queries, std::uint64_t ell,
                                   const EngineConfig& engine_config,
                                   const SessionConfig& session_config) {
-  const auto elect = [protocol = session_config.election](Ctx& ctx) {
-    return elect_leader(ctx, protocol);
+  const auto elect = [min_id = session_config.election == ElectionProtocol::MinId](Ctx& ctx) {
+    return detail::elect_leader(ctx, min_id);
   };
   const auto step = [&](Ctx& ctx, std::size_t q, MachineId leader, detail::QuerySlot& slot) {
     return detail::knn_step(ctx, scorer(ctx.id(), q), ell, KnnAlgo::DistKnn, session_config.knn,

@@ -1,11 +1,10 @@
 #include "fault/recovery.hpp"
 
 #include <algorithm>
+#include <functional>
 
-#include "election/min_id.hpp"
-#include "election/sublinear.hpp"
+#include "core/batch_runner.hpp"
 #include "fault/health.hpp"
-#include "sim/engine.hpp"
 #include "support/panic.hpp"
 
 namespace dknn {
@@ -72,39 +71,24 @@ std::vector<ReplicaRecord> ReplicaMirror::recover(std::size_t machine) {
   return out;
 }
 
-namespace {
-
-Task<void> election_program(Ctx& ctx, ElectionKind kind,
-                            std::vector<ElectionOutcome>* outcomes) {
-  (*outcomes)[ctx.id()] = kind == ElectionKind::MinId ? co_await elect_min_id(ctx)
-                                                      : co_await elect_sublinear(ctx);
-}
-
-}  // namespace
-
 ElectionRun elect_coordinator(const std::vector<std::uint32_t>& alive, ElectionKind kind,
                               std::uint64_t seed) {
   if (alive.empty()) {
     throw NoLiveMachinesError("dknn: elect_coordinator: no live machines left");
   }
   EngineConfig config;
-  config.world_size = static_cast<std::uint32_t>(alive.size());
   config.seed = seed;
   config.measure_compute = false;
-  Engine engine(config);
-
-  std::vector<ElectionOutcome> outcomes(alive.size());
-  const RunReport report = engine.run(
-      [&outcomes, kind](Ctx& ctx) { return election_program(ctx, kind, &outcomes); });
-
-  ElectionRun run;
+  const auto elect = [min_id = kind == ElectionKind::MinId](Ctx& ctx) {
+    return detail::elect_leader(ctx, min_id);
+  };
+  const detail::BatchRun run =
+      detail::run_batch(static_cast<std::uint32_t>(alive.size()), /*queries=*/0, /*leader=*/0,
+                        config, {.prologue = std::ref(elect)});
   // Engine ids are positions in the ascending survivor list; translate the
   // agreed leader back to its service machine id.
-  run.coordinator = alive[outcomes.front().leader];
-  run.attempts = outcomes.front().attempts;
-  run.rounds = report.rounds;
-  run.messages = report.traffic.messages_sent();
-  return run;
+  return {alive[run.leader], run.attempts, run.result.report.rounds,
+          run.result.report.traffic.messages_sent()};
 }
 
 }  // namespace dknn

@@ -44,21 +44,10 @@ struct ReplicaRecord {
   std::optional<double> target;
 };
 
-/// Abstract source recovery re-reads a dead machine's points from (a
-/// replica, a WAL, ...).  `recover` is consuming: ownership of the
-/// records moves to the caller.
-class RecoverySource {
- public:
-  virtual ~RecoverySource() = default;
-  /// The machine's member points, ascending by id; empty when nothing is
-  /// recoverable.
-  [[nodiscard]] virtual std::vector<ReplicaRecord> recover(std::size_t machine) = 0;
-};
-
-/// In-process recovery source: an id-keyed mirror of every machine's
+/// The in-process recovery source: an id-keyed mirror of every machine's
 /// membership.  Not thread-safe on its own — the owning service guards it
 /// with its service mutex.
-class ReplicaMirror final : public RecoverySource {
+class ReplicaMirror {
  public:
   explicit ReplicaMirror(std::size_t machines);
 
@@ -81,9 +70,10 @@ class ReplicaMirror final : public RecoverySource {
   /// All member ids across machines, ascending.
   [[nodiscard]] std::vector<PointId> ids() const;
 
-  /// Consumes machine `machine`'s records (ascending by id) and clears its
-  /// slot — the recovery read.
-  [[nodiscard]] std::vector<ReplicaRecord> recover(std::size_t machine) override;
+  /// Consumes machine `machine`'s records (ascending by id; empty when
+  /// nothing is recoverable) and clears its slot — the recovery read.
+  /// Ownership of the records moves to the caller.
+  [[nodiscard]] std::vector<ReplicaRecord> recover(std::size_t machine);
 
  private:
   std::vector<std::unordered_map<PointId, ReplicaRecord>> shards_;
@@ -104,10 +94,11 @@ struct ElectionRun {
   std::uint64_t messages = 0;        ///< messages the election sent
 };
 
-/// Runs `kind` over the survivor set on a fresh engine (world size =
-/// survivors; engine ids map to `alive` ascending) and translates the
-/// winner back to a service machine id.  Deterministic per (alive, kind,
-/// seed).  Throws NoLiveMachinesError when `alive` is empty.
+/// Runs `kind` alone over the survivor set, as the election prologue of a
+/// zero-query batch run (core/batch_runner.hpp; world size = survivors,
+/// engine ids map to `alive` ascending), and translates the winner back to
+/// a service machine id.  Deterministic per (alive, kind, seed).  Throws
+/// NoLiveMachinesError when `alive` is empty.
 [[nodiscard]] ElectionRun elect_coordinator(const std::vector<std::uint32_t>& alive,
                                             ElectionKind kind, std::uint64_t seed);
 

@@ -13,6 +13,7 @@
 #include "core/mlapi.hpp"
 #include "data/generators.hpp"
 #include "data/key.hpp"
+#include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
@@ -191,12 +192,15 @@ TEST(Mixture, TrainTestClassificationEndToEnd) {
     for (const auto& p : shards[m].points) labels[m].push_back(by_coords.at(p.coords));
   }
 
+  const auto by_id = testing_support::payloads_by_id(shards, labels);
   Rng test_rng(14);
   auto test = mixture.sample(30, test_rng);
   int correct = 0;
   for (std::size_t q = 0; q < test.size(); ++q) {
-    auto keyed = make_labeled_key_shards(shards, labels, test[q].x, EuclideanMetric{});
-    const auto result = classify_distributed(keyed, 9, engine_for(q));
+    const auto result =
+        classify_scored_batch({score_vector_shards(shards, test[q].x, EuclideanMetric{})}, by_id,
+                              9, engine_for(q))
+            .front();
     correct += (result.label == test[q].label);
   }
   EXPECT_GE(correct, 28);  // well-separated clusters: near-perfect

@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "core/driver.hpp"
 #include "core/mlapi.hpp"
 #include "data/generators.hpp"
+#include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -80,30 +82,33 @@ TEST(Quantile, TinyDataset) {
 
 TEST(VoteRule, InverseDistanceBeatsMajorityWhenFarVotesDominate) {
   // Two far neighbors of label 7 vs one very close neighbor of label 3.
-  std::vector<LabeledKeyShard> shards(2);
-  shards[0].scored = {Key{encode_distance(0.01), 1}, Key{encode_distance(50.0), 2}};
-  shards[0].labels = {{1, 3u}, {2, 7u}};
-  shards[1].scored = {Key{encode_distance(55.0), 3}};
-  shards[1].labels = {{3, 7u}};
+  const std::vector<std::vector<std::vector<Key>>> scored = {
+      {{Key{encode_distance(0.01), 1}, Key{encode_distance(50.0), 2}},
+       {Key{encode_distance(55.0), 3}}}};
+  const std::vector<std::unordered_map<PointId, std::uint32_t>> labels = {{{1, 3u}, {2, 7u}},
+                                                                         {{3, 7u}}};
 
   const auto majority =
-      classify_distributed(shards, 3, engine_for(1), {}, VoteRule::Majority);
+      classify_scored_batch(scored, labels, 3, engine_for(1), {}, VoteRule::Majority).front();
   EXPECT_EQ(majority.label, 7u);  // 2 votes beat 1
 
   const auto weighted =
-      classify_distributed(shards, 3, engine_for(1), {}, VoteRule::InverseDistance);
+      classify_scored_batch(scored, labels, 3, engine_for(1), {}, VoteRule::InverseDistance)
+          .front();
   EXPECT_EQ(weighted.label, 3u);  // 1/0.01 >> 1/50 + 1/55
 }
 
 TEST(VoteRule, AgreeWhenAllDistancesEqual) {
-  std::vector<LabeledKeyShard> shards(1);
-  shards[0].scored = {Key{encode_distance(2.0), 1}, Key{encode_distance(2.0), 2},
-                      Key{encode_distance(2.0), 3}};
-  shards[0].labels = {{1, 5u}, {2, 5u}, {3, 9u}};
+  const std::vector<std::vector<std::vector<Key>>> scored = {
+      {{Key{encode_distance(2.0), 1}, Key{encode_distance(2.0), 2},
+        Key{encode_distance(2.0), 3}}}};
+  const std::vector<std::unordered_map<PointId, std::uint32_t>> labels = {
+      {{1, 5u}, {2, 5u}, {3, 9u}}};
   const auto majority =
-      classify_distributed(shards, 3, engine_for(2), {}, VoteRule::Majority);
+      classify_scored_batch(scored, labels, 3, engine_for(2), {}, VoteRule::Majority).front();
   const auto weighted =
-      classify_distributed(shards, 3, engine_for(2), {}, VoteRule::InverseDistance);
+      classify_scored_batch(scored, labels, 3, engine_for(2), {}, VoteRule::InverseDistance)
+          .front();
   EXPECT_EQ(majority.label, 5u);
   EXPECT_EQ(weighted.label, 5u);
 }
@@ -111,12 +116,14 @@ TEST(VoteRule, AgreeWhenAllDistancesEqual) {
 TEST(VoteRule, ZeroDistanceDoesNotExplode) {
   // A neighbor at distance exactly 0 (query == training point): the epsilon
   // keeps the weight finite and that label wins.
-  std::vector<LabeledKeyShard> shards(1);
-  shards[0].scored = {Key{encode_distance(0.0), 1}, Key{encode_distance(1.0), 2},
-                      Key{encode_distance(1.0), 3}};
-  shards[0].labels = {{1, 4u}, {2, 8u}, {3, 8u}};
+  const std::vector<std::vector<std::vector<Key>>> scored = {
+      {{Key{encode_distance(0.0), 1}, Key{encode_distance(1.0), 2},
+        Key{encode_distance(1.0), 3}}}};
+  const std::vector<std::unordered_map<PointId, std::uint32_t>> labels = {
+      {{1, 4u}, {2, 8u}, {3, 8u}}};
   const auto weighted =
-      classify_distributed(shards, 3, engine_for(3), {}, VoteRule::InverseDistance);
+      classify_scored_batch(scored, labels, 3, engine_for(3), {}, VoteRule::InverseDistance)
+          .front();
   EXPECT_EQ(weighted.label, 4u);
 }
 
@@ -138,13 +145,15 @@ TEST(VoteRule, WeightedOnGaussianMixtureStillAccurate) {
   for (std::size_t m = 0; m < 4; ++m) {
     for (const auto& p : shards[m].points) labels[m].push_back(by_coords.at(p.coords));
   }
+  const auto by_id = testing_support::payloads_by_id(shards, labels);
   Rng test_rng(21);
   auto test = mixture.sample(20, test_rng);
   int correct = 0;
   for (std::size_t q = 0; q < test.size(); ++q) {
-    auto keyed = make_labeled_key_shards(shards, labels, test[q].x, EuclideanMetric{});
     const auto result =
-        classify_distributed(keyed, 9, engine_for(q), {}, VoteRule::InverseDistance);
+        classify_scored_batch({score_vector_shards(shards, test[q].x, EuclideanMetric{})}, by_id,
+                              9, engine_for(q), {}, VoteRule::InverseDistance)
+            .front();
     correct += (result.label == test[q].label);
   }
   EXPECT_GE(correct, 18);

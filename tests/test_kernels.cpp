@@ -26,7 +26,9 @@ namespace dknn {
 namespace {
 
 using testing_support::expect_same_keys;
+using testing_support::payloads_by_id;
 using testing_support::reference_top_ell;
+using testing_support::shared_tables;
 
 constexpr MetricKind kAllKinds[] = {MetricKind::Euclidean, MetricKind::SquaredEuclidean,
                                     MetricKind::Manhattan, MetricKind::Chebyshev};
@@ -500,6 +502,9 @@ TEST(BatchDriver, AllAlgosAgreeOnBatch) {
 }
 
 // --- batched mlapi ----------------------------------------------------------
+// The batched scoring stage (score_vector_shards_batch over brute indexes)
+// and the per-query one (score_vector_shards) feed the same scored-batch
+// stage the same keys.
 
 TEST(BatchMlapi, ClassifyBatchMatchesPerQuery) {
   Rng rng(51);
@@ -528,11 +533,16 @@ TEST(BatchMlapi, ClassifyBatchMatchesPerQuery) {
 
   EngineConfig engine;
   engine.seed = 3;
-  const auto batch = classify_batch(shards, labels, queries, 15, engine);
+  const auto by_id = payloads_by_id(shards, labels);
+  const auto batch = classify_scored_batch(
+      score_vector_shards_batch(make_shard_indexes(shards, ScoringPolicy::Brute), queries, 15,
+                                MetricKind::SquaredEuclidean),
+      by_id, 15, engine);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto keyed = make_labeled_key_shards(shards, labels, queries[q]);
-    const auto single = classify_distributed(keyed, 15, engine);
+    const auto single =
+        classify_scored_batch({score_vector_shards(shards, queries[q])}, by_id, 15, engine)
+            .front();
     EXPECT_EQ(batch[q].label, single.label) << "query " << q;
     ASSERT_EQ(batch[q].votes.size(), single.votes.size());
     for (std::size_t i = 0; i < single.votes.size(); ++i) {
@@ -566,11 +576,16 @@ TEST(BatchMlapi, RegressBatchMatchesPerQuery) {
 
   EngineConfig engine;
   engine.seed = 4;
-  const auto batch = regress_batch(shards, targets, queries, 12, engine);
+  const auto by_id = shared_tables(payloads_by_id(shards, targets));
+  const auto batch = regress_scored_batch(
+      score_vector_shards_batch(make_shard_indexes(shards, ScoringPolicy::Brute), queries, 12,
+                                MetricKind::SquaredEuclidean),
+      by_id, 12, engine);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto keyed = make_target_key_shards(shards, targets, queries[q]);
-    const auto single = regress_distributed(keyed, 12, engine);
+    const auto single =
+        regress_scored_batch({score_vector_shards(shards, queries[q])}, by_id, 12, engine)
+            .front();
     EXPECT_DOUBLE_EQ(batch[q].prediction, single.prediction) << "query " << q;
   }
 }

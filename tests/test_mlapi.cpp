@@ -1,6 +1,8 @@
 // Tests for core/mlapi: distributed kNN classification and regression —
 // the paper's §1 motivating applications — including agreement with a
-// sequential reference, privacy accounting, and edge cases.
+// sequential reference, privacy accounting, and edge cases.  Every leg
+// feeds a scoring stage (score_vector_shards, score_vector_shards_batch)
+// into classify/regress_scored_batch.
 
 #include <gtest/gtest.h>
 
@@ -13,12 +15,16 @@
 #include "core/mlapi.hpp"
 #include "data/generators.hpp"
 #include "data/metric.hpp"
+#include "parity_support.hpp"
 #include "rng/rng.hpp"
 #include "seq/brute.hpp"
 #include "sim/engine.hpp"
 
 namespace dknn {
 namespace {
+
+using testing_support::payloads_by_id;
+using testing_support::shared_tables;
 
 EngineConfig engine_for(std::uint64_t seed) {
   EngineConfig c;
@@ -88,11 +94,14 @@ std::uint32_t reference_classify(const ClassifyFixture& fx, const PointD& query,
 
 TEST(Classify, MatchesSequentialReference) {
   auto fx = make_classify_fixture(600, 8, 1);
+  const auto labels = payloads_by_id(fx.shards, fx.labels);
   Rng qrng(2);
   for (int q = 0; q < 10; ++q) {
     const PointD query = uniform_points(1, 2, 120.0, qrng)[0];
-    auto shards = make_labeled_key_shards(fx.shards, fx.labels, query, EuclideanMetric{});
-    const auto result = classify_distributed(shards, 15, engine_for(static_cast<std::uint64_t>(q)));
+    const auto result =
+        classify_scored_batch({score_vector_shards(fx.shards, query, EuclideanMetric{})}, labels,
+                              15, engine_for(static_cast<std::uint64_t>(q)))
+            .front();
     EXPECT_EQ(result.label, reference_classify(fx, query, 15)) << "query " << q;
     EXPECT_EQ(result.votes.size(), 15u);
   }
@@ -102,11 +111,13 @@ TEST(Classify, PerfectOnWellSeparatedClusters) {
   // Query placed exactly at a training point of a tight cluster: the
   // classifier must return that cluster's label.
   auto fx = make_classify_fixture(300, 4, 3);
+  const auto labels = payloads_by_id(fx.shards, fx.labels);
   int correct = 0, total = 0;
   for (std::size_t i = 0; i < fx.all_points.size(); i += 25) {
-    auto shards = make_labeled_key_shards(fx.shards, fx.labels, fx.all_points[i],
-                                          EuclideanMetric{});
-    const auto result = classify_distributed(shards, 7, engine_for(i));
+    const auto result =
+        classify_scored_batch({score_vector_shards(fx.shards, fx.all_points[i], EuclideanMetric{})},
+                              labels, 7, engine_for(i))
+            .front();
     correct += (result.label == fx.all_labels[i]);
     ++total;
   }
@@ -117,20 +128,21 @@ TEST(Classify, PerfectOnWellSeparatedClusters) {
 TEST(Classify, TieBreaksToSmallestLabel) {
   // Two points at identical distances with labels {1, 2} and ell = 2:
   // majority is tied, the smaller label must win deterministically.
-  std::vector<LabeledKeyShard> shards(2);
-  shards[0].scored = {Key{100, 1}};
-  shards[0].labels = {{1, 2u}};  // id 1 -> label 2
-  shards[1].scored = {Key{100, 2}};
-  shards[1].labels = {{2, 1u}};  // id 2 -> label 1
-  const auto result = classify_distributed(shards, 2, engine_for(1));
+  const std::vector<std::vector<std::vector<Key>>> scored = {{{Key{100, 1}}, {Key{100, 2}}}};
+  const std::vector<std::unordered_map<PointId, std::uint32_t>> labels = {
+      {{1, 2u}},   // id 1 -> label 2
+      {{2, 1u}}};  // id 2 -> label 1
+  const auto result = classify_scored_batch(scored, labels, 2, engine_for(1)).front();
   EXPECT_EQ(result.label, 1u);
 }
 
 TEST(Classify, VotesAreTheGlobalNearest) {
   auto fx = make_classify_fixture(200, 4, 5);
   const PointD query = fx.all_points[0];
-  auto shards = make_labeled_key_shards(fx.shards, fx.labels, query, EuclideanMetric{});
-  const auto result = classify_distributed(shards, 9, engine_for(2));
+  const auto result =
+      classify_scored_batch({score_vector_shards(fx.shards, query, EuclideanMetric{})},
+                            payloads_by_id(fx.shards, fx.labels), 9, engine_for(2))
+          .front();
   auto nn = brute_force_knn(std::span<const PointD>(fx.all_points), fx.all_ids, query,
                             EuclideanMetric{}, 9);
   ASSERT_EQ(result.votes.size(), nn.size());
@@ -155,17 +167,20 @@ TEST(Classify, OnlyDistancesAndLabelsCrossTheNetwork) {
     labels[m].assign(shards[m].points.size(), m % 3);
   }
   const PointD query = uniform_points(1, dim, 50.0, rng)[0];
-  auto keyed = make_labeled_key_shards(shards, labels, query, EuclideanMetric{});
-  const auto result = classify_distributed(keyed, 20, engine_for(3));
+  const auto result =
+      classify_scored_batch({score_vector_shards(shards, query, EuclideanMetric{})},
+                            payloads_by_id(shards, labels), 20, engine_for(3))
+          .front();
   const std::uint64_t raw_bits = n * dim * 64;  // shipping all coordinates
   EXPECT_LT(result.run.report.traffic.bits_sent(), raw_bits / 10);
 }
 
 TEST(Classify, SingleShardWorks) {
   auto fx = make_classify_fixture(50, 1, 7);
-  auto shards = make_labeled_key_shards(fx.shards, fx.labels, fx.all_points[0],
-                                        EuclideanMetric{});
-  const auto result = classify_distributed(shards, 5, engine_for(4));
+  const auto result =
+      classify_scored_batch({score_vector_shards(fx.shards, fx.all_points[0], EuclideanMetric{})},
+                            payloads_by_id(fx.shards, fx.labels), 5, engine_for(4))
+          .front();
   EXPECT_EQ(result.label, reference_classify(fx, fx.all_points[0], 5));
 }
 
@@ -177,12 +192,7 @@ TEST(ClassifyBatch, PayloadGatherAddsOneMessagePerFollowerPerQuery) {
   const auto queries = uniform_points(5, 2, 120.0, qrng);
   constexpr std::uint64_t ell = 15;
   const auto scored = score_vector_shards_batch(indexes, queries, ell, MetricKind::Euclidean);
-  std::vector<std::unordered_map<PointId, std::uint32_t>> labels(k);
-  for (std::uint32_t m = 0; m < k; ++m) {
-    for (std::size_t i = 0; i < fx.shards[m].ids.size(); ++i) {
-      labels[m].emplace(fx.shards[m].ids[i], fx.labels[m][i]);
-    }
-  }
+  const auto labels = payloads_by_id(fx.shards, fx.labels);
   const auto results = classify_scored_batch(scored, labels, ell, engine_for(23));
   const auto batch = run_knn_batch(scored, ell, KnnAlgo::DistKnn, engine_for(23));
   ASSERT_EQ(results.size(), queries.size());
@@ -252,11 +262,14 @@ TEST(Regress, MatchesSequentialMean) {
     }
   }
 
+  const auto tables = shared_tables(payloads_by_id(shards, targets));
   Rng qrng(11);
   for (int q = 0; q < 5; ++q) {
     const PointD query = uniform_points(1, 2, 3.0, qrng)[0];
-    auto keyed = make_target_key_shards(shards, targets, query, EuclideanMetric{});
-    const auto result = regress_distributed(keyed, 10, engine_for(static_cast<std::uint64_t>(q)));
+    const auto result =
+        regress_scored_batch({score_vector_shards(shards, query, EuclideanMetric{})}, tables, 10,
+                             engine_for(static_cast<std::uint64_t>(q)))
+            .front();
     auto nn = brute_force_knn(std::span<const PointD>(all_points), all_ids, query,
                               EuclideanMetric{}, 10);
     double want = 0;
@@ -281,33 +294,32 @@ TEST(Regress, ApproximatesSmoothFunction) {
   for (std::uint32_t m = 0; m < k; ++m) {
     for (const auto& p : shards[m].points) targets[m].push_back(by_coords.at(p.coords));
   }
+  const auto tables = shared_tables(payloads_by_id(shards, targets));
   Rng qrng(13);
   double worst = 0;
   for (int q = 0; q < 10; ++q) {
     const PointD query({(qrng.uniform01() * 2.0 - 1.0) * 2.5});
-    auto keyed = make_target_key_shards(shards, targets, query, EuclideanMetric{});
-    const auto result = regress_distributed(keyed, 15, engine_for(static_cast<std::uint64_t>(q)));
+    const auto result =
+        regress_scored_batch({score_vector_shards(shards, query, EuclideanMetric{})}, tables, 15,
+                             engine_for(static_cast<std::uint64_t>(q)))
+            .front();
     worst = std::max(worst, std::fabs(result.prediction - regression_truth(query)));
   }
   EXPECT_LT(worst, 0.25);
 }
 
 TEST(Regress, ContributionsSumToPrediction) {
-  std::vector<TargetKeyShard> shards(2);
-  shards[0].scored = {Key{1, 1}, Key{4, 2}};
-  shards[0].targets = {{1, 10.0}, {2, 20.0}};
-  shards[1].scored = {Key{2, 3}};
-  shards[1].targets = {{3, 4.0}};
-  const auto result = regress_distributed(shards, 2, engine_for(1));
+  const std::vector<std::vector<std::vector<Key>>> scored = {{{Key{1, 1}, Key{4, 2}}, {Key{2, 3}}}};
+  const auto targets = shared_tables<double>({{{1, 10.0}, {2, 20.0}}, {{3, 4.0}}});
+  const auto result = regress_scored_batch(scored, targets, 2, engine_for(1)).front();
   ASSERT_EQ(result.contributions.size(), 2u);
   EXPECT_DOUBLE_EQ(result.prediction, (10.0 + 4.0) / 2.0);
 }
 
 TEST(Regress, NegativeTargetsSurviveBitCast) {
-  std::vector<TargetKeyShard> shards(1);
-  shards[0].scored = {Key{1, 1}, Key{2, 2}};
-  shards[0].targets = {{1, -5.5}, {2, -2.5}};
-  const auto result = regress_distributed(shards, 2, engine_for(2));
+  const std::vector<std::vector<std::vector<Key>>> scored = {{{Key{1, 1}, Key{2, 2}}}};
+  const auto targets = shared_tables<double>({{{1, -5.5}, {2, -2.5}}});
+  const auto result = regress_scored_batch(scored, targets, 2, engine_for(2)).front();
   EXPECT_DOUBLE_EQ(result.prediction, -4.0);
 }
 

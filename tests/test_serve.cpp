@@ -595,22 +595,23 @@ TEST(ServeMlapi, ClassifyServeBatchMatchesClassifyDistributed) {
 
   EngineConfig engine;
   engine.seed = 5;
-  const auto serve = classify_serve_batch(snapshots, labels, queries, 9, engine);
+  const auto serve = classify_scored_batch(
+      score_serve_snapshots_batch(snapshots, queries, 9, MetricKind::SquaredEuclidean), labels, 9,
+      engine);
   ASSERT_EQ(serve.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    // Reference: classify_distributed over shards rebuilt from the live
-    // sets, scored under the same (SquaredEuclidean) default.
-    std::vector<LabeledKeyShard> keyed(kMachines);
+    // Reference: one query's classification over shards rebuilt from the
+    // live sets, scored under the same (SquaredEuclidean) default.
+    std::vector<std::vector<Key>> keyed(kMachines);
     for (std::size_t m = 0; m < kMachines; ++m) {
       VectorShard shard;
       for (const LivePoint& lp : live[m]) {
         shard.points.push_back(lp.point);
         shard.ids.push_back(lp.id);
       }
-      keyed[m].scored = score_vector_shard(shard, queries[q]);
-      keyed[m].labels = labels[m];
+      keyed[m] = score_vector_shard(shard, queries[q]);
     }
-    const auto single = classify_distributed(keyed, 9, engine);
+    const auto single = classify_scored_batch({keyed}, labels, 9, engine).front();
     EXPECT_EQ(serve[q].label, single.label) << "query " << q;
     ASSERT_EQ(serve[q].votes.size(), single.votes.size());
     for (std::size_t i = 0; i < single.votes.size(); ++i) {
@@ -632,7 +633,9 @@ TEST(ServeMlapi, RegressServeBatchAveragesLiveTargets) {
 
   EngineConfig engine;
   engine.seed = 6;
-  const auto results = regress_serve_batch(snapshots, targets, queries, 4, engine);
+  const auto results = regress_scored_batch(
+      score_serve_snapshots_batch(snapshots, queries, 4, MetricKind::SquaredEuclidean),
+      testing_support::shared_tables(targets), 4, engine);
   ASSERT_EQ(results.size(), queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     const auto winners = oracle_top_ell(live, queries[q], 4, MetricKind::SquaredEuclidean);

@@ -18,6 +18,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/knn_service.hpp"
@@ -30,6 +31,8 @@ namespace dknn {
 namespace {
 
 using testing_support::expect_same_keys;
+using testing_support::payloads_by_id;
+using testing_support::shared_tables;
 
 constexpr MetricKind kAllKinds[] = {MetricKind::Euclidean, MetricKind::SquaredEuclidean,
                                     MetricKind::Manhattan, MetricKind::Chebyshev};
@@ -343,6 +346,33 @@ TEST(ServiceErrors, InsertDuplicateIdAndBuilderMisuse) {
                    .build(),
                ServiceStateError);
   EXPECT_THROW((void)KnnServiceBuilder().machines(0).dataset({}).build(), ServiceStateError);
+}
+
+TEST(ServiceErrors, ScoringApproxIsRejectedAtBuild) {
+  // The facade routes the approximate tier by policy and per call; a set
+  // scoring.approx would be overwritten on every read path, so build()
+  // refuses it instead of answering exactly in silence.
+  const std::string text =
+      "dknn: ServiceConfig::scoring.approx does not route a KnnService; use "
+      "ScoringPolicy::Approx or QueryOptions::approx";
+  Rng rng(7);
+  BatchScoringConfig scoring;
+  scoring.approx = true;
+  try {
+    (void)KnnServiceBuilder().machines(2).ell(2).scoring(scoring).dataset(make_points(8, 2, rng))
+        .build();
+    FAIL() << "expected ServiceStateError";
+  } catch (const ServiceStateError& e) {
+    EXPECT_EQ(std::string(e.what()), text);
+  }
+  ServiceConfig config;
+  config.scoring.approx = true;
+  try {
+    (void)KnnServiceBuilder().config(config).live().dim(2).build();
+    FAIL() << "expected ServiceStateError";
+  } catch (const ServiceStateError& e) {
+    EXPECT_EQ(std::string(e.what()), text);
+  }
 }
 
 TEST(ServiceErrors, BadKnnConfigRejectedAtBuild) {
@@ -716,14 +746,23 @@ TEST(ServiceErrors, UnlabeledWinnerIsATypedPreconditionFailure) {
   (void)service.insert_labeled(PointD({1000.0, 1000.0}), 900001, 1);
   EXPECT_THROW((void)service.classify(PointD({0.0, 0.0})), PreconditionError);
 
-  // The pre-scored single-query entries share the batch entries' body, so
-  // a winner missing from its machine's table raises the same typed error.
-  const std::vector<LabeledKeyShard> labeled = {
-      {.scored = {Key{1, 7}, Key{2, 8}}, .labels = {{7, 1}}}};
-  EXPECT_THROW((void)classify_distributed(labeled, 2, EngineConfig{}), PreconditionError);
-  const std::vector<TargetKeyShard> targeted = {
-      {.scored = {Key{1, 7}, Key{2, 8}}, .targets = {{8, 0.5}}}};
-  EXPECT_THROW((void)regress_distributed(targeted, 2, EngineConfig{}), PreconditionError);
+  // The scored-batch stage the facade runs raises the same typed error
+  // for a winner missing from its machine's table, with a stable text.
+  const std::vector<std::vector<std::vector<Key>>> scored = {{{Key{1, 7}, Key{2, 8}}}};
+  const std::vector<std::unordered_map<PointId, std::uint32_t>> labels = {{{7, 1}}};
+  EXPECT_THROW((void)classify_scored_batch(scored, labels, 2, EngineConfig{}), PreconditionError);
+  const auto targets = shared_tables<double>({{{8, 0.5}}});
+  EXPECT_THROW((void)regress_scored_batch(scored, targets, 2, EngineConfig{}), PreconditionError);
+  try {
+    (void)classify_scored_batch(scored, labels, 2, EngineConfig{});
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(std::string(e.what()), "dknn: winner id 8 has no label on its machine");
+  }
+  try {
+    (void)regress_scored_batch(scored, targets, 2, EngineConfig{});
+  } catch (const PreconditionError& e) {
+    EXPECT_EQ(std::string(e.what()), "dknn: winner id 7 has no target on its machine");
+  }
 }
 
 TEST(ServiceLifecycle, LabeledLiveInsertFeedsClassify) {
@@ -968,7 +1007,10 @@ TEST(ServiceMlapi, ClassifyBatchWrapperMatchesFacade) {
   if (fc.total == 0 || fc.ell == 0) return;
 
   EngineConfig engine;
-  const auto wrapper = classify_batch(fc.shards, labels, fc.queries, fc.ell, engine);
+  const auto wrapper = classify_scored_batch(
+      score_vector_shards_batch(make_shard_indexes(fc.shards, ScoringPolicy::Brute), fc.queries,
+                                fc.ell, MetricKind::SquaredEuclidean),
+      payloads_by_id(fc.shards, labels), fc.ell, engine);
 
   KnnService service = KnnServiceBuilder()
                            .ell(fc.ell)
@@ -984,6 +1026,51 @@ TEST(ServiceMlapi, ClassifyBatchWrapperMatchesFacade) {
     ASSERT_EQ(wrapper[q].votes.size(), direct[q].votes.size());
     expect_same_keys(wrapper[q].run.keys, direct[q].run.keys, "classify wrapper");
   }
+}
+
+TEST(ServiceMlapi, RegressBatchStagesMatchFacade) {
+  // The facade's regress_batch over dataset_sharded + targets_sharded
+  // equals the stages composed by hand: brute indexes → batched scoring →
+  // regress_scored_batch.
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 0x7A46E7ULL; seed < 0x7A46E7ULL + 6; ++seed) {
+    const ServiceFuzzCase fc = make_service_case(seed);
+    if (fc.total == 0) continue;
+    // Positional targets per shard, deterministic from the ids.
+    std::vector<std::vector<double>> targets(fc.shards.size());
+    for (std::size_t m = 0; m < fc.shards.size(); ++m) {
+      for (const PointId id : fc.shards[m].ids) {
+        targets[m].push_back(static_cast<double>(id % 7) * 0.75 - 2.0);
+      }
+    }
+
+    EngineConfig engine;
+    engine.seed = seed;
+    const auto stages = regress_scored_batch(
+        score_vector_shards_batch(make_shard_indexes(fc.shards, ScoringPolicy::Brute),
+                                  fc.queries, fc.ell, MetricKind::SquaredEuclidean),
+        shared_tables(payloads_by_id(fc.shards, targets)), fc.ell, engine);
+
+    KnnService service = KnnServiceBuilder()
+                             .ell(fc.ell)
+                             .engine(engine)
+                             .dim(fc.dim)
+                             .dataset_sharded(fc.shards)
+                             .targets_sharded(targets)
+                             .build();
+    const auto direct = service.regress_batch(fc.queries);
+    ASSERT_EQ(stages.size(), direct.size());
+    for (std::size_t q = 0; q < stages.size(); ++q) {
+      EXPECT_EQ(stages[q].prediction, direct[q].prediction) << "seed " << seed << " query " << q;
+      EXPECT_EQ(stages[q].contributions, direct[q].contributions)
+          << "seed " << seed << " query " << q;
+      expect_same_keys(stages[q].run.keys, direct[q].run.keys, "regress stages");
+    }
+    EXPECT_EQ(stages[0].run.report.traffic.messages_sent(),
+              direct[0].run.report.traffic.messages_sent());
+    ++compared;
+  }
+  EXPECT_GE(compared, 4u);
 }
 
 }  // namespace
