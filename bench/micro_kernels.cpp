@@ -23,6 +23,9 @@
 // FMA chains, with the offline shard's best rate against both), then
 // single queries over the online workload's machines (16 Auto segments of
 // 4,096 rows, d=8, ℓ=16) with 0, 64 and 512 tombstones per segment, then
+// the same machines segmented as the online run holds them (a bulk kd-tree
+// segment with 64 tombstones, three sealed 32-row segments and a 16-row
+// delta each; best and median of 21 passes of 256 queries), then
 // the simulated message plane (Algorithm 2 selection runs at the online
 // and offline shapes, and an empty engine run, with heap allocations
 // counted by a replaced global operator new), and writes the medians to
@@ -728,6 +731,81 @@ TombstonedSegments time_tombstoned_segments(std::size_t repeats) {
   return result;
 }
 
+constexpr std::size_t kSnapshotSealThreshold = 32;
+constexpr std::size_t kSnapshotInserts = 112;  // three sealed 32-row segments and a 16-row delta
+constexpr std::size_t kSnapshotErases = 64;    // from the bulk segment
+constexpr std::size_t kSnapshotQueries = 256;
+constexpr std::size_t kSnapshotRepeats = 21;
+
+struct SegmentedSnapshots {
+  PathTiming timing;                   ///< every query over every store's snapshot
+  std::size_t segments_per_store = 0;  ///< the snapshot's segments, the delta included
+  bool keys_match = true;              ///< every answer equals a brute scan of the live rows
+};
+
+/// Single queries over kSegments stores shaped like the online machine:
+/// one bulk Auto segment of kSegmentRows (a kd-tree) with kSnapshotErases
+/// tombstones, three sealed 32-row segments (brute) and a 16-row delta.
+/// Every answer is checked against the fused kernel over a FlatStore
+/// rebuilt from the store's live rows.
+SegmentedSnapshots time_segmented_snapshots() {
+  Rng rng(25);
+  const ServeConfig config{.seal_threshold = kSnapshotSealThreshold,
+                           .policy = ScoringPolicy::Auto};
+  std::vector<std::unique_ptr<SegmentStore>> stores;
+  std::vector<FlatStore> rebuilt;
+  PointId next_id = 1;
+  for (std::size_t s = 0; s < kSegments; ++s) {
+    std::vector<PointD> points = uniform_points(kSegmentRows, kSegmentDim, 2.0, rng);
+    std::vector<PointId> ids;
+    for (std::size_t i = 0; i < kSegmentRows; ++i) ids.push_back(next_id++);
+    auto store = std::make_unique<SegmentStore>(kSegmentDim, points, ids, config);
+    for (std::size_t e = 0; e < kSnapshotErases; ++e) {
+      const std::size_t victim = rng.below(points.size());
+      (void)store->erase(ids[victim]);
+      points[victim] = points.back();
+      ids[victim] = ids.back();
+      points.pop_back();
+      ids.pop_back();
+    }
+    for (std::size_t i = 0; i < kSnapshotInserts; ++i) {
+      points.push_back(uniform_points(1, kSegmentDim, 2.0, rng)[0]);
+      ids.push_back(next_id++);
+      store->insert(points.back(), ids.back());
+    }
+    rebuilt.emplace_back(points, ids);
+    stores.push_back(std::move(store));
+  }
+  const auto queries = uniform_points(kSnapshotQueries, kSegmentDim, 2.0, rng);
+  std::vector<SnapshotPtr> snapshots;
+  for (const auto& store : stores) snapshots.push_back(store->snapshot());
+
+  SegmentedSnapshots result;
+  result.segments_per_store = snapshots.front()->segments.size();
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> out;
+  result.timing = time_path(kSnapshotRepeats, kSegments * kSegmentRows, kSnapshotQueries, [&] {
+    for (const PointD& query : queries) {
+      for (const SnapshotPtr& snapshot : snapshots) {
+        snapshot_top_ell_batch(*snapshot, std::span<const PointD>(&query, 1), kSegmentEll,
+                               MetricKind::SquaredEuclidean, out, scratch);
+        benchmark::DoNotOptimize(out);
+      }
+    }
+  });
+  for (std::size_t s = 0; s < kSegments; ++s) {
+    result.keys_match = result.keys_match &&
+                        snapshots[s]->segments.size() == result.segments_per_store;
+    for (const PointD& query : queries) {
+      result.keys_match =
+          result.keys_match &&
+          snapshot_top_ell(*snapshots[s], query, kSegmentEll, MetricKind::SquaredEuclidean) ==
+              fused_top_ell(rebuilt[s], query, kSegmentEll, MetricKind::SquaredEuclidean);
+    }
+  }
+  return result;
+}
+
 /// One message_plane row: a whole run of the simulated k-machine model.
 struct PlaneRow {
   std::uint64_t messages = 0;     ///< per run
@@ -973,6 +1051,15 @@ int emit_bench_json(const std::string& path) {
     return 1;
   }
 
+  // Segmented-snapshot rows: the same 16 machines as the online workload
+  // holds them mid-run, each a bulk kd-tree segment with tombstones plus
+  // small brute segments and a delta, one query at a time.
+  const SegmentedSnapshots segmented = time_segmented_snapshots();
+  if (!segmented.keys_match) {
+    std::fprintf(stderr, "segmented_snapshot: keys differ from the rebuilt stores\n");
+    return 1;
+  }
+
   // Message-plane rows: Algorithm 2 over pre-scored keys (each machine
   // holds its local top-ℓ) at perfbench's online shape (k = 16, ℓ = 16,
   // one query) and offline shape (k = 8, ℓ = 32, one 64-query block), and
@@ -1056,6 +1143,18 @@ int emit_bench_json(const std::string& path) {
                  i + 1 < tombstoned.rows.size() ? "," : "");
   }
   std::fprintf(f, "  }},\n");
+  std::fprintf(f,
+               "  \"segmented_snapshot\": {\"stores\": %zu, \"bulk_rows\": %zu, \"dim\": %zu, "
+               "\"ell\": %zu, \"queries\": %zu, \"metric\": \"squared-euclidean\", "
+               "\"policy\": \"auto\", \"seal_threshold\": %zu, \"inserts\": %zu, "
+               "\"erases\": %zu, \"segments_per_store\": %zu, \"repeats\": %zu, "
+               "\"keys_match_rebuilt\": true, \"best_us_per_query\": %.1f, "
+               "\"median_us_per_query\": %.1f},\n",
+               kSegments, kSegmentRows, kSegmentDim, kSegmentEll, kSnapshotQueries,
+               kSnapshotSealThreshold, kSnapshotInserts, kSnapshotErases,
+               segmented.segments_per_store, kSnapshotRepeats,
+               segmented.timing.best_ms * 1e3 / kSnapshotQueries,
+               segmented.timing.median_ms * 1e3 / kSnapshotQueries);
   std::fprintf(f, "  \"message_plane\": {\"algo\": \"dist-knn\", \"bandwidth\": \"unlimited\",\n");
   write_selection_row(f, "online_run_knn_batch", kOnlineSelection, online_plane);
   write_selection_row(f, "offline_run_knn_batch", kOfflineSelection, offline_plane);
@@ -1111,6 +1210,9 @@ int emit_bench_json(const std::string& path) {
     std::printf("; %zu tombstones/segment %.1f us/query (tree share %.3f)", row.tombstones,
                 row.timing.median_ms * 1e3 / kSegmentQueries, row.tree_share);
   }
+  std::printf("; segmented snapshot (%zu segments/store) best %.1f us/query (median %.1f)",
+              segmented.segments_per_store, segmented.timing.best_ms * 1e3 / kSnapshotQueries,
+              segmented.timing.median_ms * 1e3 / kSnapshotQueries);
   std::printf("; message plane: online %.1f us/run (%.2f allocations/message), offline %.1f "
               "us/run (%.2f allocations/message), empty run %.2f us",
               online_plane.us_per_run, online_plane.allocations_per_message(),

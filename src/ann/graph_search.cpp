@@ -127,10 +127,9 @@ void ann_search_candidates(const KnnGraph& graph, const PointD& query, std::size
   }
 }
 
-void ann_top_ell(const KnnGraph& graph, const PointD& query, std::size_t ell, std::size_t ef,
-                 MetricKind kind, const std::uint8_t* external_dead, std::vector<Key>& out,
-                 AnnSearchScratch& scratch, KernelScratch& kernel_scratch) {
-  out.clear();
+void ann_feed(const KnnGraph& graph, const PointD& query, std::size_t q, std::size_t ell,
+              std::size_t ef, MetricKind kind, const std::uint8_t* external_dead,
+              AnnSearchScratch& scratch, KernelScratch& kernel_scratch) {
   AnnSearchStats stats;
   std::vector<AnnCandidate>& cands = scratch.hits;
   ann_search_candidates(graph, query, std::max(ef, ell), kind, external_dead, cands, scratch,
@@ -142,16 +141,24 @@ void ann_top_ell(const KnnGraph& graph, const PointD& query, std::size_t ell, st
   m.rerank.record(stats.rerank_size);
   if (cands.empty()) return;
 
-  // Exact rerank: one single-row range per candidate, ascending, through
-  // the fused RangeTopEll kernel — Keys bit-stable given the candidate set.
+  // Exact rerank: one single-row range per candidate, ascending, through a
+  // RangeTopEll view of the query's heap — Keys bit-stable given the
+  // candidate set.
   scratch.rows.clear();
   for (const AnnCandidate& c : cands) scratch.rows.push_back(c.row);
   std::sort(scratch.rows.begin(), scratch.rows.end());
-  RangeTopEll rerank(graph.store(), query, ell, kind, kernel_scratch);
+  RangeTopEll rerank(kernel_scratch, q, graph.store(), query, kind);
   for (const std::uint32_t row : scratch.rows) {
     rerank.score_range(row, static_cast<std::size_t>(row) + 1);
   }
-  rerank.finish(out);
+}
+
+void ann_top_ell(const KnnGraph& graph, const PointD& query, std::size_t ell, std::size_t ef,
+                 MetricKind kind, const std::uint8_t* external_dead, std::vector<Key>& out,
+                 AnnSearchScratch& scratch, KernelScratch& kernel_scratch) {
+  RangeTopEll selection(graph.store(), query, ell, kind, kernel_scratch);
+  ann_feed(graph, query, 0, ell, ef, kind, external_dead, scratch, kernel_scratch);
+  selection.finish(out);
 }
 
 }  // namespace dknn::ann

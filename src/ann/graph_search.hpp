@@ -65,11 +65,21 @@ void ann_search_candidates(const KnnGraph& graph, const PointD& query, std::size
                            std::vector<AnnCandidate>& out, AnnSearchScratch& scratch,
                            AnnSearchStats* stats = nullptr);
 
-/// Beam search + exact rerank: `out` gets the candidates' min(ℓ, |cand|)
-/// best Keys ascending, ranks encode_distance-encoded by the exact
-/// RangeTopEll kernel — bit-stable given the candidate set.  Records
-/// dknn_ann_search_* metrics and, with ef ≥ max(ℓ, live rows reachable),
-/// degrades to the exact answer.
+/// Beam search + exact rerank into heap `q` of the running selection
+/// `kernel_scratch` holds (data/kernels.hpp): the walk surfaces up to
+/// max(ef, ℓ) candidates, each reranked by the exact RangeTopEll kernel
+/// into the heap, so the heap ends holding the best of its earlier entries
+/// and the candidates — bit-stable given the candidate set.  Records the
+/// dknn_ann_search_* metrics.
+void ann_feed(const KnnGraph& graph, const PointD& query, std::size_t q, std::size_t ell,
+              std::size_t ef, MetricKind kind, const std::uint8_t* external_dead,
+              AnnSearchScratch& scratch, KernelScratch& kernel_scratch);
+
+/// Beam search + exact rerank as a one-query selection: `out` gets the
+/// candidates' min(ℓ, |cand|) best Keys ascending, ranks
+/// encode_distance-encoded by the exact RangeTopEll kernel — bit-stable
+/// given the candidate set.  Records dknn_ann_search_* metrics and, with
+/// ef ≥ max(ℓ, live rows reachable), degrades to the exact answer.
 void ann_top_ell(const KnnGraph& graph, const PointD& query, std::size_t ell, std::size_t ef,
                  MetricKind kind, const std::uint8_t* external_dead, std::vector<Key>& out,
                  AnnSearchScratch& scratch, KernelScratch& kernel_scratch);

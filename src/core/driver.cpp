@@ -260,16 +260,16 @@ std::vector<std::vector<std::vector<Key>>> score_tiled_grid(
 }
 
 /// Row-range subtile of a split machine: the same bounded-heap kernels the
-/// kd-hybrid uses, over rows [lo, hi) of the SoA store.
+/// kd-hybrid uses, over rows [lo, hi) of the SoA store, each query through
+/// a RangeTopEll view of its heap in one running selection.
 void score_rows(const FlatStore& store, std::size_t lo, std::size_t hi,
                 std::span<const PointD> block, std::uint64_t ell, MetricKind kind,
                 std::vector<std::vector<Key>>& keys, KernelScratch& scratch) {
-  keys.resize(block.size());
+  begin_top_ell(scratch, block.size(), std::min<std::size_t>(ell, hi - lo));
   for (std::size_t i = 0; i < block.size(); ++i) {
-    RangeTopEll scorer(store, block[i], static_cast<std::size_t>(ell), kind, scratch);
-    scorer.score_range(lo, hi);
-    scorer.finish(keys[i]);
+    RangeTopEll(scratch, i, store, block[i], kind).score_range(lo, hi);
   }
+  finish_top_ell(scratch, keys);
 }
 
 /// Only brute scans split: a kd-tree shard's traversal is hierarchical,

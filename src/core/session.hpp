@@ -43,7 +43,11 @@ namespace dknn {
 
 enum class ElectionProtocol : std::uint8_t {
   None,       ///< use KnnConfig::leader as given (machine 0 by default)
-  MinId,      ///< 1 round, k² messages
+  /// One all-to-all exchange of k(k−1) messages, sent in one superstep
+  /// and read in the next: run alone it reports 2 engine rounds, and a
+  /// session's election_rounds reads 1 (its queries start in the reading
+  /// superstep).
+  MinId,
   Sublinear,  ///< O(1) rounds, O(√k log^{3/2} k) messages (paper's choice)
 };
 

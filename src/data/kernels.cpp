@@ -49,15 +49,16 @@ bool two_stage(const KernelOps& ops, MetricKind kind, std::size_t d) {
          (kind == MetricKind::Euclidean || kind == MetricKind::SquaredEuclidean);
 }
 
+/// The one batch-kernel body: feeds every row of `store` into the running
+/// selection's heaps, query q into heap q.
 void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
-                std::span<const PointD> queries, std::size_t cap, const std::uint8_t* dead,
-                std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
+                std::span<const PointD> queries, const std::uint8_t* dead,
+                KernelScratch& scratch) {
   const std::size_t n = store.size();
   const std::size_t d = store.dim();
   const std::size_t num_queries = queries.size();
+  const std::size_t cap = scratch.heap_cap;
   scratch.dist.resize(std::min(num_queries, simd::kQueryBlock) * kTile);
-  scratch.heaps.resize(num_queries * cap);
-  scratch.heap_sizes.assign(num_queries, 0);
   const PointId* ids = store.ids().data();
   const ColumnPointers cols(store);
   const bool screened = two_stage(ops, kind, d);
@@ -75,9 +76,6 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
     screen.centre = scratch.centre.data();
     bounds = screen.queries + simd::kQueryBlock * dq;
   }
-
-  // Rejection thresholds, one per query (+∞ until that heap fills).
-  scratch.thresholds.assign(num_queries, std::numeric_limits<double>::infinity());
 
   for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
     const std::size_t m = std::min(kTile, n - t0);
@@ -114,19 +112,20 @@ void batch_impl(const KernelOps& ops, MetricKind kind, const FlatStore& store,
       }
     }
   }
+}
 
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    DistId* heap = scratch.heaps.data() + q * cap;
-    const std::size_t size = scratch.heap_sizes[q];
-    // Any ISA's heap is a valid max-heap in Key order (distinct ids make
-    // the order total), so sort_heap lands on the same ascending bytes
-    // whatever layout the push sequence produced.
-    std::sort_heap(heap, heap + size);
-    out[q].clear();
-    out[q].reserve(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      out[q].push_back(Key{encode_distance(heap[i].first), heap[i].second});
-    }
+/// Sorts heap q of the running selection ascending into `out`.
+void finish_heap(KernelScratch& scratch, std::size_t q, std::vector<Key>& out) {
+  DistId* heap = scratch.heaps.data() + q * scratch.heap_cap;
+  const std::size_t size = scratch.heap_sizes[q];
+  // Any ISA's heap is a valid max-heap in Key order (distinct ids make
+  // the order total), so sort_heap lands on the same ascending bytes
+  // whatever layout the push sequence produced.
+  std::sort_heap(heap, heap + size);
+  out.clear();
+  out.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    out.push_back(Key{encode_distance(heap[i].first), heap[i].second});
   }
 }
 
@@ -172,6 +171,12 @@ void require_known_kind(MetricKind kind, const char* where) {
   panic(std::string(where) + ": unknown MetricKind");
 }
 
+/// `scratch` holding a freshly begun one-query selection of `cap` entries.
+KernelScratch& one_query_selection(KernelScratch& scratch, std::size_t cap) {
+  begin_top_ell(scratch, 1, cap);
+  return scratch;
+}
+
 }  // namespace
 
 const char* metric_kind_name(MetricKind kind) {
@@ -194,70 +199,84 @@ double metric_distance(MetricKind kind, const PointD& a, const PointD& b) {
   panic("metric_distance: unknown MetricKind");
 }
 
+void begin_top_ell(KernelScratch& scratch, std::size_t queries, std::size_t cap) {
+  scratch.heap_cap = cap;
+  scratch.heaps.resize(queries * cap);
+  scratch.heap_sizes.assign(queries, 0);
+  // Rejection thresholds, one per query (+∞ until that heap fills).
+  scratch.thresholds.assign(queries, std::numeric_limits<double>::infinity());
+}
+
+void finish_top_ell(KernelScratch& scratch, std::vector<std::vector<Key>>& out) {
+  out.resize(scratch.heap_sizes.size());
+  for (std::size_t q = 0; q < out.size(); ++q) finish_heap(scratch, q, out[q]);
+}
+
+void fused_feed_batch(const FlatStore& store, std::span<const PointD> queries, MetricKind kind,
+                      KernelScratch& scratch, const std::uint8_t* dead) {
+  require_known_kind(kind, "fused_feed_batch");
+  DKNN_REQUIRE(queries.size() == scratch.heap_sizes.size(),
+               "fused_feed_batch: one query per heap of the running selection");
+  // An empty store has no knowable dimension (mirrors the AoS path, which
+  // never checks dims against an empty shard); a non-empty one validates
+  // even when the heaps hold nothing so caller bugs aren't masked by empty
+  // results.
+  if (store.empty()) return;
+  for (const PointD& query : queries) require_query_dim(store.dim(), query.dim());
+  if (scratch.heap_cap == 0) return;
+  batch_impl(simd::kernel_ops(), kind, store, queries, dead, scratch);
+}
+
 void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
                          std::size_t ell, MetricKind kind,
                          std::vector<std::vector<Key>>& out, KernelScratch& scratch,
                          const std::uint8_t* dead) {
-  require_known_kind(kind, "fused_top_ell_batch");
-  out.resize(queries.size());
-  // An empty store has no knowable dimension (mirrors the AoS path, which
-  // never checks dims against an empty shard); a non-empty one validates
-  // even when ell == 0 so caller bugs aren't masked by empty results.
-  if (!store.empty()) {
-    for (const PointD& query : queries) require_query_dim(store.dim(), query.dim());
-  }
-  if (ell == 0 || store.empty()) {
-    for (auto& keys : out) keys.clear();
-    return;
-  }
-  const std::size_t cap = std::min(ell, store.size());
-  batch_impl(simd::kernel_ops(), kind, store, queries, cap, dead, out, scratch);
+  begin_top_ell(scratch, queries.size(), std::min(ell, store.size()));
+  fused_feed_batch(store, queries, kind, scratch, dead);
+  finish_top_ell(scratch, out);
 }
 
-RangeTopEll::RangeTopEll(const FlatStore& store, const PointD& query, std::size_t ell,
-                         MetricKind kind, KernelScratch& scratch, const std::uint8_t* dead)
-    : store_(store), query_(query), kind_(kind), ops_(&simd::kernel_ops()),
-      scratch_(scratch), dead_(dead), threshold_(std::numeric_limits<double>::infinity()) {
+RangeTopEll::RangeTopEll(KernelScratch& selection, std::size_t q, const FlatStore& store,
+                         const PointD& query, MetricKind kind, const std::uint8_t* dead)
+    : scratch_(selection), q_(q), store_(store), query_(query), kind_(kind),
+      ops_(&simd::kernel_ops()), dead_(dead) {
   require_known_kind(kind, "RangeTopEll");
+  DKNN_REQUIRE(q < selection.heap_sizes.size(), "RangeTopEll: no such heap");
   if (!store.empty()) {
     require_query_dim(store.dim(), query.dim());
   }
-  cap_ = std::min(ell, store.size());
-  if (cap_ == 0) return;
-  // All buffers live in the caller's scratch (reused across the query
-  // block), so steady-state hybrid scoring is allocation-free like the
-  // fused batch path.
+  // The tile and column buffers live in the caller's scratch (reused across
+  // the query block), so steady-state hybrid scoring is allocation-free like
+  // the fused batch path.
   scratch_.dist.resize(kTile);
-  scratch_.heaps.resize(cap_);
   scratch_.cols.resize(store.dim());
   for (std::size_t j = 0; j < store.dim(); ++j) scratch_.cols[j] = store.dim_coords(j).data();
 }
 
+RangeTopEll::RangeTopEll(const FlatStore& store, const PointD& query, std::size_t ell,
+                         MetricKind kind, KernelScratch& scratch, const std::uint8_t* dead)
+    : RangeTopEll(one_query_selection(scratch, std::min(ell, store.size())), 0, store, query,
+                  kind, dead) {}
+
 void RangeTopEll::score_range(std::size_t lo, std::size_t hi) {
   DKNN_ASSERT(lo <= hi && hi <= store_.size(), "RangeTopEll: range out of bounds");
-  if (cap_ == 0 || lo == hi) return;
+  const std::size_t cap = scratch_.heap_cap;
+  if (cap == 0 || lo == hi) return;
   const PointId* ids = store_.ids().data();
   const double* coords = query_.coords.data();
-  HeapState heap{scratch_.heaps.data(), heap_size_, cap_};
+  HeapState heap{scratch_.heaps.data() + q_ * cap, scratch_.heap_sizes[q_], cap};
+  double& threshold = scratch_.thresholds[q_];
   for (std::size_t t0 = lo; t0 < hi; t0 += kTile) {
     const std::size_t m = std::min(kTile, hi - t0);
     ops_->tile_scores(kind_, scratch_.cols.data(), &coords, 1, store_.dim(), t0, m,
                       scratch_.dist.data(), kTile);
-    ops_->heap_update(kind_, heap, threshold_, scratch_.dist.data(), ids + t0,
+    ops_->heap_update(kind_, heap, threshold, scratch_.dist.data(), ids + t0,
                       dead_ == nullptr ? nullptr : dead_ + t0, m);
   }
-  heap_size_ = heap.size;
+  scratch_.heap_sizes[q_] = heap.size;
 }
 
-void RangeTopEll::finish(std::vector<Key>& out) {
-  DistId* heap = scratch_.heaps.data();
-  std::sort_heap(heap, heap + heap_size_);
-  out.clear();
-  out.reserve(heap_size_);
-  for (std::size_t i = 0; i < heap_size_; ++i) {
-    out.push_back(Key{encode_distance(heap[i].first), heap[i].second});
-  }
-}
+void RangeTopEll::finish(std::vector<Key>& out) { finish_heap(scratch_, q_, out); }
 
 std::vector<Key> fused_top_ell(const FlatStore& store, const PointD& query, std::size_t ell,
                                MetricKind kind) {

@@ -15,7 +15,8 @@
 ///   * fuse selection into scoring with a bounded max-heap per query, so
 ///     when ℓ ≪ n nothing of size n is ever allocated — with a reused
 ///     `KernelScratch`, the per-query hot path is allocation-free after
-///     warm-up, and
+///     warm-up; the heaps are a running selection that any number of
+///     stores (a snapshot's segments) feed before one sort, and
 ///   * for the Euclidean family at d > 16 on the vector ISAs, once every
 ///     heap of a query block is full, screen each later tile in two
 ///     stages: a single-precision lower bound per (query, point) from the
@@ -61,11 +62,22 @@ struct KernelOps;  // data/simd/kernel_ops.hpp — the per-ISA op table
 /// Reusable scratch for the fused kernels.  Buffers grow to the high-water
 /// mark and are then reused; keep one per thread / call site to make the
 /// steady-state query loop allocation-free.
+///
+/// It also holds the **running selection**: one bounded max-heap and one
+/// raw-domain rejection threshold per query.  begin_top_ell empties it, any
+/// number of stores feed it (fused_feed_batch, hybrid_feed_batch, a
+/// RangeTopEll view, ann::ann_feed), and finish_top_ell sorts and encodes
+/// it once.  Selection over distinct (distance, id) keys is order-blind and
+/// a threshold only ever bounds what the shared heap would reject, so the
+/// keys equal one fused scan of the union of every row fed, whatever the
+/// order or split, while each later store is screened against the
+/// thresholds the earlier ones left.
 struct KernelScratch {
   std::vector<double> dist;                            ///< per-tile score rows, one per block query
   std::vector<std::pair<double, PointId>> heaps;       ///< Q bounded max-heaps, flattened
   std::vector<std::size_t> heap_sizes;                 ///< live entries per heap
   std::vector<double> thresholds;                      ///< per-query rejection thresholds
+  std::size_t heap_cap = 0;                            ///< entries per heap (0: no feed scores)
   std::vector<const double*> cols;                     ///< RangeTopEll column pointers
   /// The float screen of a screened batch: the current tile translated and
   /// narrowed (d × kTile floats, 64 KB at d = 64) with its squared norms,
@@ -75,16 +87,30 @@ struct KernelScratch {
   std::vector<double> centre;                          ///< the screened tile's translation, per dimension
 };
 
+/// Starts a running selection in `scratch`: `queries` empty heaps of `cap`
+/// entries with +∞ thresholds.  A cap of min(ℓ, live rows to be fed)
+/// selects each query's min(ℓ, live) best keys.
+void begin_top_ell(KernelScratch& scratch, std::size_t queries, std::size_t cap);
+
+/// Ends the running selection: out[q] (out is resized to the selection's
+/// query count) gets heap q's keys ascending, ranks encode_distance-encoded.
+void finish_top_ell(KernelScratch& scratch, std::vector<std::vector<Key>>& out);
+
+/// Feeds every row of `store` into the running selection, query q of
+/// `queries` (one per heap) into heap q.  Each point tile is scored one
+/// query block (simd::kQueryBlock queries) at a time; a query's heap does
+/// not depend on which other queries share its call.  `dead`, when
+/// non-null, is a tombstone byte map aligned with the store's rows (1 =
+/// deleted, 0 = live; at least store.size() bytes): dead rows are scored
+/// with their tile but never enter a heap, so the heaps hold what feeding
+/// the live rows alone would leave.
+void fused_feed_batch(const FlatStore& store, std::span<const PointD> queries, MetricKind kind,
+                      KernelScratch& scratch, const std::uint8_t* dead = nullptr);
+
 /// Scores every point of `store` against every query in `queries`, fused
-/// with bounded top-ℓ selection.  `out` is resized to queries.size();
-/// out[q] holds query q's min(ℓ, live) best keys ascending, ranks
-/// encode_distance-encoded.  Each point tile is scored one query block
-/// (simd::kQueryBlock queries) at a time; a query's result does not depend
-/// on which other queries share its call.  `dead`, when non-null, is a
-/// tombstone byte map aligned with the store's rows (1 = deleted, 0 =
-/// live; at least store.size() bytes): dead rows are scored with their
-/// tile but never enter a heap, so the keys are byte-identical to a store
-/// rebuilt from the live rows alone.
+/// with bounded top-ℓ selection: begin_top_ell, fused_feed_batch,
+/// finish_top_ell.  `out` is resized to queries.size(); out[q] holds query
+/// q's min(ℓ, live) best keys ascending.
 void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries,
                          std::size_t ell, MetricKind kind,
                          std::vector<std::vector<Key>>& out, KernelScratch& scratch,
@@ -100,17 +126,25 @@ void fused_top_ell_batch(const FlatStore& store, std::span<const PointD> queries
 void score_store(const FlatStore& store, const PointD& query, MetricKind kind,
                  std::vector<Key>& out);
 
-/// Single-query fused scorer over arbitrary contiguous index ranges of one
-/// store — the leaf-range entry point for kd-tree-pruned scoring
-/// (seq/kdtree.hpp's hybrid path).  Runs exactly the bounded-heap +
-/// lazy-sqrt machinery of fused_top_ell_batch, so scoring *any*
-/// decomposition of [0, n) into ranges, in any order, finishes with
-/// byte-identical keys; skipping a range is sound whenever every point in
-/// it provably scores above threshold().  Rows flagged in the optional
-/// `dead` map (as in fused_top_ell_batch) never enter the heap.
+/// A view of one query's heap in a running selection, scoring arbitrary
+/// contiguous index ranges of one store into it — the leaf-range entry
+/// point for kd-tree-pruned scoring (seq/kdtree.hpp's hybrid path), the
+/// graph tier's exact rerank and split row ranges.  Runs exactly the
+/// bounded-heap + lazy-sqrt machinery of fused_feed_batch, so feeding
+/// *any* decomposition of the rows into ranges, in any order, finishes
+/// with byte-identical keys; skipping a range is sound whenever every
+/// point in it provably scores above threshold().  Rows flagged in the
+/// optional `dead` map (as in fused_feed_batch) never enter the heap.
+/// The heap, its size and its threshold live in the KernelScratch.
 class RangeTopEll {
  public:
-  /// Borrows `store`, `query`, `scratch` and `dead` for its lifetime.
+  /// Views heap `q` of the running selection `selection` holds.  Borrows
+  /// every argument for its lifetime.
+  RangeTopEll(KernelScratch& selection, std::size_t q, const FlatStore& store,
+              const PointD& query, MetricKind kind, const std::uint8_t* dead = nullptr);
+
+  /// A one-query selection: begins one in `scratch` with a heap of
+  /// min(ℓ, store.size()) entries and views it.
   RangeTopEll(const FlatStore& store, const PointD& query, std::size_t ell, MetricKind kind,
               KernelScratch& scratch, const std::uint8_t* dead = nullptr);
 
@@ -120,23 +154,21 @@ class RangeTopEll {
   /// Conservative rejection threshold in the kernel's raw-score domain
   /// (squared sums for the Euclidean family, direct values for L1/L∞): a
   /// point or subtree whose raw score provably exceeds this cannot enter
-  /// the heap and may be skipped.  +∞ until the heap holds ℓ entries.
-  [[nodiscard]] double threshold() const { return threshold_; }
+  /// the heap and may be skipped.  +∞ until the heap is full.
+  [[nodiscard]] double threshold() const { return scratch_.thresholds[q_]; }
 
-  /// Sorts the selected keys ascending into `out`; the instance must not be
-  /// fed further ranges afterwards.
+  /// Sorts the viewed heap's keys ascending into `out`; that heap must not
+  /// be fed afterwards.
   void finish(std::vector<Key>& out);
 
  private:
+  KernelScratch& scratch_;  ///< the running selection, dist tile and column pointers
+  std::size_t q_ = 0;       ///< the viewed heap
   const FlatStore& store_;
   const PointD& query_;
   MetricKind kind_;
   const simd::KernelOps* ops_ = nullptr;  ///< ISA resolved once at construction
-  std::size_t cap_ = 0;       ///< min(ℓ, n); 0 disables scoring entirely
-  KernelScratch& scratch_;    ///< dist tile, heap and column-pointer storage
-  const std::uint8_t* dead_ = nullptr;  ///< tombstone map aligned with store_ rows, or null
-  std::size_t heap_size_ = 0;
-  double threshold_ = 0.0;
+  const std::uint8_t* dead_ = nullptr;    ///< tombstone map aligned with store_ rows, or null
 };
 
 }  // namespace dknn

@@ -82,7 +82,10 @@ class ReplicaMirror {
 
 /// Which election protocol survivors run to pick the re-shard coordinator.
 enum class ElectionKind : std::uint8_t {
-  MinId,      ///< 1 round, k(k−1) messages, deterministic winner
+  /// One all-to-all exchange of k(k−1) messages, which the engine reports
+  /// as 2 rounds (sent in one superstep, read in the next); deterministic
+  /// winner.
+  MinId,
   Sublinear,  ///< the Õ(√k)-message randomized protocol
 };
 

@@ -141,29 +141,32 @@ void hybrid_query(const KdRangeIndex& index, const PointD& query, MetricKind kin
 
 }  // namespace
 
-void hybrid_top_ell_batch(const KdRangeIndex& index, std::span<const PointD> queries,
-                          std::size_t ell, MetricKind kind,
-                          std::vector<std::vector<Key>>& out, KernelScratch& scratch,
-                          const std::uint8_t* dead) {
+void hybrid_feed_batch(const KdRangeIndex& index, std::span<const PointD> queries,
+                       MetricKind kind, KernelScratch& scratch, const std::uint8_t* dead) {
   const FlatStore& store = index.store();
-  out.resize(queries.size());
-  if (!store.empty()) {
-    for (const PointD& query : queries) require_query_dim(store.dim(), query.dim());
-  }
-  if (ell == 0 || store.empty()) {
-    for (auto& keys : out) keys.clear();
-    return;
-  }
+  DKNN_REQUIRE(queries.size() == scratch.heap_sizes.size(),
+               "hybrid_feed_batch: one query per heap of the running selection");
+  if (store.empty()) return;
+  for (const PointD& query : queries) require_query_dim(store.dim(), query.dim());
+  if (scratch.heap_cap == 0) return;
   TreeStats stats;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    RangeTopEll scorer(store, queries[q], ell, kind, scratch, dead);
+    RangeTopEll scorer(scratch, q, store, queries[q], kind, dead);
     ++stats.queries;
     hybrid_query(index, queries[q], kind, 0, scorer, stats);
-    scorer.finish(out[q]);
   }
   // One relaxed-atomic add per batch (not per node): concurrent tiles over
   // the same index accumulate without contention on the hot path.
   index.add_stats(stats);
+}
+
+void hybrid_top_ell_batch(const KdRangeIndex& index, std::span<const PointD> queries,
+                          std::size_t ell, MetricKind kind,
+                          std::vector<std::vector<Key>>& out, KernelScratch& scratch,
+                          const std::uint8_t* dead) {
+  begin_top_ell(scratch, queries.size(), std::min(ell, index.size()));
+  hybrid_feed_batch(index, queries, kind, scratch, dead);
+  finish_top_ell(scratch, out);
 }
 
 }  // namespace dknn

@@ -40,7 +40,11 @@ struct TreeStats {
   std::uint64_t nodes_visited = 0;   ///< nodes whose box bound was tested
   std::uint64_t subtrees_pruned = 0; ///< bound tests that cut a whole subtree
   std::uint64_t leaves_scored = 0;   ///< leaves handed to the fused kernel
-  std::uint64_t points_scored = 0;   ///< rows those leaves contained
+  /// Rows those leaves contained.  A traversal prunes against the running
+  /// selection's threshold, which stores fed before this one may already
+  /// have tightened, so this depends on the order a snapshot's segments
+  /// are fed in (the largest first).
+  std::uint64_t points_scored = 0;
 
   TreeStats& operator+=(const TreeStats& other) {
     queries += other.queries;
@@ -161,16 +165,28 @@ class KdRangeIndex {
   mutable std::atomic<std::uint64_t> stat_points_{0};
 };
 
-/// Tree-pruned batched scoring: per query, descend `index`, skip subtrees
-/// whose conservative raw-domain box bound exceeds the current rejection
-/// threshold, and run the fused kernel on surviving leaf ranges.  The box
-/// bound folds per-dimension gaps in the exact accumulation order of the
-/// kernels, so (by monotonicity of rounding) it never exceeds any covered
-/// point's raw score — pruning is lossless and the output is byte-identical
-/// to fused_top_ell_batch over index.store() (fuzzed in tests/test_parity.cpp).
-/// `dead` is an optional tombstone map aligned with index.store() rows, as
-/// in fused_top_ell_batch: dead rows never enter a heap, and the boxes
-/// still bound every row they cover, so pruning stays lossless.
+/// Tree-pruned feed into the running selection `scratch` holds
+/// (data/kernels.hpp), query q of `queries` into heap q: per query,
+/// descend `index`, skip subtrees whose conservative raw-domain box bound
+/// exceeds the heap's current rejection threshold, and feed surviving leaf
+/// ranges through a RangeTopEll view of the heap.  The box bound folds
+/// per-dimension gaps in the exact accumulation order of the kernels, so
+/// (by monotonicity of rounding) it never exceeds any covered point's raw
+/// score — pruning is lossless, and the heaps end as feeding every row of
+/// index.store() would leave them (fuzzed in tests/test_parity.cpp).  A
+/// threshold carried in from stores fed earlier prunes from the root on,
+/// so TreeStats::points_scored depends on which stores a selection fed
+/// before this one.  `dead` is an optional tombstone map aligned with
+/// index.store() rows, as in fused_feed_batch: dead rows never enter a
+/// heap, and the boxes still bound every row they cover, so pruning stays
+/// lossless.
+void hybrid_feed_batch(const KdRangeIndex& index, std::span<const PointD> queries,
+                       MetricKind kind, KernelScratch& scratch,
+                       const std::uint8_t* dead = nullptr);
+
+/// Tree-pruned batched scoring: begin_top_ell, hybrid_feed_batch,
+/// finish_top_ell.  Byte-identical to fused_top_ell_batch over
+/// index.store().
 void hybrid_top_ell_batch(const KdRangeIndex& index, std::span<const PointD> queries,
                           std::size_t ell, MetricKind kind,
                           std::vector<std::vector<Key>>& out, KernelScratch& scratch,

@@ -9,7 +9,6 @@
 #include "ann/graph_search.hpp"
 #include "data/validate.hpp"
 #include "obs/metrics.hpp"
-#include "seq/select.hpp"
 #include "support/panic.hpp"
 
 namespace dknn {
@@ -39,8 +38,18 @@ StoreMetrics& store_metrics() {
   return m;
 }
 
+/// The id index's home slot for `id` among `slots`: the high half of a
+/// Fibonacci hash, scaled into range without a division.
+std::size_t id_slot(PointId id, std::size_t slots) {
+  return static_cast<std::size_t>(((id * 0x9E3779B97F4A7C15ull) >> 32) * slots >> 32);
+}
+
+std::size_t next_slot(std::size_t slot, std::size_t slots) {
+  return slot + 1 == slots ? 0 : slot + 1;
+}
+
 /// Seals an AoS point set into an immutable segment under the config's
-/// policy: the shard's scoring structures plus the id → row map.
+/// policy: the shard's scoring structures plus the id → row index.
 std::shared_ptr<const SealedSegment> build_segment(std::span<const PointD> points,
                                                    std::span<const PointId> ids,
                                                    const ServeConfig& config) {
@@ -48,10 +57,14 @@ std::shared_ptr<const SealedSegment> build_segment(std::span<const PointD> point
   static_cast<ShardIndex&>(*segment) =
       make_shard_index(points, ids, config.policy, config.leaf_size, config.ann);
   const FlatStore& store = segment->store();
-  segment->row_of.reserve(store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const bool fresh = segment->row_of.emplace(store.id(i), static_cast<std::uint32_t>(i)).second;
-    DKNN_REQUIRE(fresh, "SegmentStore: duplicate id");
+  std::vector<std::uint32_t>& index = segment->id_index;
+  index.assign(2 * store.size(), SealedSegment::kNoRow);
+  for (std::uint32_t row = 0; row < store.size(); ++row) {
+    std::size_t slot = id_slot(store.id(row), index.size());
+    for (; index[slot] != SealedSegment::kNoRow; slot = next_slot(slot, index.size())) {
+      DKNN_REQUIRE(store.id(index[slot]) != store.id(row), "SegmentStore: duplicate id");
+    }
+    index[slot] = row;
   }
   return segment;
 }
@@ -93,10 +106,20 @@ ShardIndex make_shard_index(std::span<const PointD> points, std::span<const Poin
   return index;
 }
 
+std::optional<std::uint32_t> SealedSegment::row_of(PointId id) const {
+  if (id_index.empty()) return std::nullopt;
+  // At most half the slots are taken, so every probe ends at an empty one.
+  for (std::size_t slot = id_slot(id, id_index.size());; slot = next_slot(slot, id_index.size())) {
+    const std::uint32_t row = id_index[slot];
+    if (row == kNoRow) return std::nullopt;
+    if (store().id(row) == id) return row;
+  }
+}
+
 bool ServeSnapshot::contains(PointId id) const {
   for (const SegmentView& seg : segments) {
     const SealedSegment& data = *seg.data;
-    if (data.row_of.empty() && !data.store().empty()) {
+    if (data.id_index.empty() && !data.store().empty()) {
       // Delta mirror: no id map (an O(delta) rebuild per publish would
       // defeat the O(d) incremental mirror), so scan — the delta is
       // bounded by seal_threshold and tombstone-free.
@@ -106,8 +129,8 @@ bool ServeSnapshot::contains(PointId id) const {
       }
       continue;
     }
-    const auto it = data.row_of.find(id);
-    if (it != data.row_of.end() && (*seg.dead)[it->second] == 0) return true;
+    const std::optional<std::uint32_t> row = data.row_of(id);
+    if (row.has_value() && (*seg.dead)[*row] == 0) return true;
   }
   return false;
 }
@@ -140,8 +163,8 @@ SegmentStore::~SegmentStore() {
 bool SegmentStore::live_in_writer_state(PointId id) const {
   if (delta_rows_.contains(id)) return true;
   for (const SegmentView& seg : segments_) {
-    const auto it = seg.data->row_of.find(id);
-    if (it != seg.data->row_of.end() && (*seg.dead)[it->second] == 0) return true;
+    const std::optional<std::uint32_t> row = seg.data->row_of(id);
+    if (row.has_value() && (*seg.dead)[*row] == 0) return true;
   }
   return false;
 }
@@ -203,10 +226,10 @@ std::optional<std::uint64_t> SegmentStore::erase(PointId id) {
   // segment and live in a newer one (delete + re-insert), so keep looking
   // past dead occurrences.
   for (SegmentView& seg : segments_) {
-    const auto it = seg.data->row_of.find(id);
-    if (it == seg.data->row_of.end() || (*seg.dead)[it->second] != 0) continue;
+    const std::optional<std::uint32_t> row = seg.data->row_of(id);
+    if (!row.has_value() || (*seg.dead)[*row] != 0) continue;
     auto dead = std::make_shared<std::vector<std::uint8_t>>(*seg.dead);
-    (*dead)[it->second] = 1;
+    (*dead)[*row] = 1;
     seg.dead = std::move(dead);
     ++seg.dead_count;
     store_metrics().erases.add();
@@ -275,7 +298,7 @@ std::uint64_t SegmentStore::publish_locked() {
       mirror_synced_ = n;
       auto mirror = std::make_shared<SealedSegment>();
       mirror->flat = FlatStore(mirror_coords_, mirror_ids_, n, dim_, mirror_cap_);
-      // row_of deliberately left empty — ServeSnapshot::contains scans the
+      // id_index deliberately left empty — ServeSnapshot::contains scans the
       // mirror instead (see the fallback there).
       delta_mirror_ = std::move(mirror);
     }
@@ -496,36 +519,57 @@ bool SegmentStore::install_compaction(const CompactionPlan& plan,
 
 namespace {
 
-/// Shared engine of the exact and approx snapshot scorers: every live
-/// segment's local top-ℓ through shard_top_ell_batch, pooled per query and
-/// re-selected — min(ℓ, live) of the pool is the global answer, exactly
-/// for the exact path, with per-segment recall semantics for the approx
-/// one.
+/// Feeds one shard into the running selection through its policy path.
+void shard_feed_batch(const ShardIndex& shard, const std::uint8_t* dead,
+                      std::span<const PointD> queries, std::size_t ell, MetricKind kind,
+                      bool approx, KernelScratch& scratch) {
+  if (approx && shard.ann != nullptr) {
+    // Graph shard: seeded beam search for candidates, exact rerank into
+    // the query's heap.  The view's tombstones filter the candidates (the
+    // graph is shared across snapshots, so per-snapshot deadness lives in
+    // the view).
+    const ann::KnnGraph& graph = shard.ann->get_or_build(shard.store());
+    const std::size_t ef = std::max(shard.ann->config().ef, ell);
+    ann::AnnSearchScratch ann_scratch;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      ann::ann_feed(graph, queries[q], q, ell, ef, kind, dead, ann_scratch, scratch);
+    }
+  } else if (shard.has_tree()) {
+    hybrid_feed_batch(*shard.tree, queries, kind, scratch, dead);
+  } else {
+    fused_feed_batch(shard.store(), queries, kind, scratch, dead);
+  }
+}
+
+/// Shared engine of the exact and approx snapshot scorers: one running
+/// selection that every live segment feeds, largest first, so each
+/// smaller segment is screened against the thresholds the larger ones
+/// left.  Exact for the exact path; for the approx one, the graph
+/// segments contribute their reranked candidates.
 void snapshot_top_ell_impl(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                            std::size_t ell, MetricKind kind, bool approx,
                            std::vector<std::vector<Key>>& out, KernelScratch& scratch) {
-  out.resize(queries.size());
   if (snapshot.live_points > 0) {
     for (const PointD& query : queries) require_query_dim(snapshot.dim, query.dim());
   }
-  if (ell == 0 || snapshot.live_points == 0) {
-    for (auto& keys : out) keys.clear();
-    return;
-  }
-
-  std::vector<std::vector<Key>> candidates(queries.size());
-  std::vector<std::vector<Key>> segment_keys;
-  for (const SegmentView& seg : snapshot.segments) {
-    if (seg.live() == 0) continue;
-    shard_top_ell_batch(*seg.data, seg.dead_count == 0 ? nullptr : seg.dead->data(), queries,
-                        ell, kind, approx, segment_keys, scratch);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      candidates[q].insert(candidates[q].end(), segment_keys[q].begin(), segment_keys[q].end());
+  begin_top_ell(scratch, queries.size(), std::min(ell, snapshot.live_points));
+  if (scratch.heap_cap > 0) {
+    // Descending live rows, ties in snapshot order (a merged segment is
+    // appended after the ones it outlived).
+    std::vector<const SegmentView*> order;
+    order.reserve(snapshot.segments.size());
+    for (const SegmentView& seg : snapshot.segments) {
+      if (seg.live() > 0) order.push_back(&seg);
+    }
+    std::sort(order.begin(), order.end(), [](const SegmentView* a, const SegmentView* b) {
+      return a->live() != b->live() ? a->live() > b->live() : a < b;
+    });
+    for (const SegmentView* seg : order) {
+      shard_feed_batch(*seg->data, seg->dead_count == 0 ? nullptr : seg->dead->data(), queries,
+                       ell, kind, approx, scratch);
     }
   }
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    out[q] = top_ell_smallest(std::span<const Key>(candidates[q]), ell);
-  }
+  finish_top_ell(scratch, out);
 }
 
 }  // namespace
@@ -534,22 +578,9 @@ void shard_top_ell_batch(const ShardIndex& shard, const std::uint8_t* dead,
                          std::span<const PointD> queries, std::size_t ell, MetricKind kind,
                          bool approx, std::vector<std::vector<Key>>& out,
                          KernelScratch& scratch) {
-  if (approx && shard.ann != nullptr) {
-    // Graph shard: seeded beam search for candidates, exact rerank for
-    // Keys.  The view's tombstones filter the results (the graph is shared
-    // across snapshots, so per-snapshot deadness lives in the view).
-    const ann::KnnGraph& graph = shard.ann->get_or_build(shard.store());
-    const std::size_t ef = std::max(shard.ann->config().ef, ell);
-    ann::AnnSearchScratch ann_scratch;
-    out.resize(queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      ann::ann_top_ell(graph, queries[q], ell, ef, kind, dead, out[q], ann_scratch, scratch);
-    }
-  } else if (shard.has_tree()) {
-    hybrid_top_ell_batch(*shard.tree, queries, ell, kind, out, scratch, dead);
-  } else {
-    fused_top_ell_batch(shard.store(), queries, ell, kind, out, scratch, dead);
-  }
+  begin_top_ell(scratch, queries.size(), std::min(ell, shard.store().size()));
+  shard_feed_batch(shard, dead, queries, ell, kind, approx, scratch);
+  finish_top_ell(scratch, out);
 }
 
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,

@@ -38,8 +38,8 @@
 /// dimension-ascending order, tombstoned rows are masked out where a
 /// scored row would enter a top-ℓ heap (so they never reach one), and
 /// selection is order-blind over globally distinct (distance, id) keys —
-/// segmentation, tombstones and per-segment top-ℓ merging never change a
-/// byte.
+/// segmentation, tombstones and the order in which segments feed one
+/// running top-ℓ per query never change a byte.
 
 #include <cstdint>
 #include <memory>
@@ -109,11 +109,17 @@ struct ShardIndex {
 /// compaction time, possibly on a background thread) and shared by every
 /// snapshot that references it.
 struct SealedSegment : ShardIndex {
-  /// id → row of store() — erase/contains lookups without scans.  Left
-  /// empty on the delta mirror (ServeSnapshot::contains scans it instead;
-  /// filling it would cost O(delta) per publish, defeating the O(d)
-  /// incremental mirror).
-  std::unordered_map<PointId, std::uint32_t> row_of;
+  /// Flat id → row index: an open-addressing table of 2·rows() slots, each
+  /// kNoRow or a row of store(), probed linearly from a multiplicative hash
+  /// of the id and compared through store().id() — 8 bytes a row, built in
+  /// one pass with no per-entry allocation.  Left empty on the delta
+  /// mirror (ServeSnapshot::contains scans it instead; filling it would
+  /// cost O(delta) per publish, defeating the O(d) incremental mirror).
+  std::vector<std::uint32_t> id_index;
+  static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
+
+  /// The row of store() holding `id`, if the index has one.
+  [[nodiscard]] std::optional<std::uint32_t> row_of(PointId id) const;
 };
 
 /// One epoch's view of a segment: shared heavy payload plus copy-on-write
@@ -145,10 +151,12 @@ struct SegmentView {
 /// One shard's local top-ℓ per query through its policy path: the graph
 /// beam search + exact rerank when `approx` is set and the shard carries a
 /// graph slot, else the kd-hybrid when it carries a tree, else the fused
-/// batch kernel.  `dead` is the shard's tombstone map aligned with
-/// store() rows (null = every row live): every path skips the rows it
-/// flags, so a tombstoned shard runs exactly a clean shard's path.  `out`
-/// is resized to queries.size(); out[q] holds min(ℓ, live) keys ascending.
+/// batch kernel — each a feed of one running selection (data/kernels.hpp)
+/// begun and finished for this shard alone.  `dead` is the shard's
+/// tombstone map aligned with store() rows (null = every row live): every
+/// path skips the rows it flags, so a tombstoned shard runs exactly a
+/// clean shard's path.  `out` is resized to queries.size(); out[q] holds
+/// min(ℓ, live) keys ascending.
 void shard_top_ell_batch(const ShardIndex& shard, const std::uint8_t* dead,
                          std::span<const PointD> queries, std::size_t ell, MetricKind kind,
                          bool approx, std::vector<std::vector<Key>>& out,
@@ -354,13 +362,15 @@ class SegmentStore {
 };
 
 /// Scores `queries` against the snapshot's live set, fused with bounded
-/// top-ℓ selection: every segment runs the fused batch kernel, or the
-/// kd-hybrid when it carries a tree, with its tombstone map masking dead
-/// rows out of the heaps, and the per-segment winners merge into each
-/// query's global top-ℓ.  `out` is resized to queries.size(); out[q]
-/// holds min(ℓ, live) keys ascending.  Byte-identical to
-/// fused_top_ell_batch over a FlatStore rebuilt from the live set (fuzzed
-/// in tests/test_serve.cpp).
+/// top-ℓ selection: one running selection (data/kernels.hpp) per call,
+/// which every live segment feeds in descending live-row order (ties in
+/// snapshot order) — through the fused batch kernel, or the kd-hybrid
+/// when it carries a tree, with its tombstone map masking dead rows out of
+/// the heaps.  The largest segment leaves the thresholds the smaller ones
+/// are screened against, and nothing is pooled or re-selected.  `out` is
+/// resized to queries.size(); out[q] holds min(ℓ, live) keys ascending.
+/// Byte-identical to fused_top_ell_batch over a FlatStore rebuilt from the
+/// live set (fuzzed in tests/test_serve.cpp).
 void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const PointD> queries,
                             std::size_t ell, MetricKind kind,
                             std::vector<std::vector<Key>>& out, KernelScratch& scratch);
@@ -371,8 +381,10 @@ void snapshot_top_ell_batch(const ServeSnapshot& snapshot, std::span<const Point
                                                 MetricKind kind);
 
 /// Approximate variant: graph-carrying segments (ScoringPolicy::Approx
-/// seals of ≥ AnnConfig::min_points rows) are beam-searched and
-/// exact-reranked (src/ann/graph_search.hpp); every other segment —
+/// seals of ≥ AnnConfig::min_points rows) are beam-searched and their
+/// candidates exact-reranked into the same running selection
+/// (src/ann/graph_search.hpp), so the answer equals each segment's own
+/// approx answer pooled and re-selected; every other segment —
 /// including the delta mirror, so fresh inserts are never invisible —
 /// scores exactly as snapshot_top_ell_batch.  Tombstoned rows are filtered
 /// through the view's bitmap and can never be returned.  Every returned

@@ -15,6 +15,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
+#include "seq/select.hpp"
 #include "serve/segment_store.hpp"
 
 namespace dknn {
@@ -341,6 +344,63 @@ TEST(AnnServe, ChurnFuzzRecallAndTombstones) {
   ASSERT_FALSE(answers[0].empty());
   EXPECT_EQ(answers[0][0].id, next_id);
   EXPECT_EQ(answers[0][0].rank, 0u);
+}
+
+TEST(AnnServe, RunningHeapMatchesPooledSegmentAnswers) {
+  // Two graph segments (one tombstoned), a sealed segment below
+  // min_points (scored exactly) and an unsealed delta: the snapshot's one
+  // running selection must equal each segment's own approx answer, pooled
+  // and re-selected.
+  const std::size_t dim = 6;
+  SegmentStore store(dim, approx_serve_config(96, 64));
+  Rng rng(58);
+  PointId next_id = 1;
+  const auto insert = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      store.insert(uniform_points(1, dim, 100.0, rng)[0], next_id++);
+    }
+  };
+  insert(192);  // two 96-row graph segments
+  insert(40);
+  store.seal();  // a 40-row segment, below min_points
+  insert(11);    // the delta
+  for (PointId id = 3; id <= 96; id += 5) ASSERT_TRUE(store.erase(id).has_value());
+  const SnapshotPtr snap = store.snapshot();
+  ASSERT_EQ(snap->segments.size(), 4u);
+  ASSERT_NE(snap->segments[0].data->ann, nullptr);
+  ASSERT_NE(snap->segments[1].data->ann, nullptr);
+  ASSERT_GT(snap->segments[0].dead_count, 0u);
+  ASSERT_EQ(snap->segments[2].data->ann, nullptr);
+  ASSERT_EQ(snap->segments[3].rows(), 11u);
+
+  const std::vector<PointD> queries = uniform_points(9, dim, 100.0, rng);
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> got;
+  std::vector<std::vector<Key>> keys;
+  for (const MetricKind kind : {MetricKind::SquaredEuclidean, MetricKind::Manhattan}) {
+    for (const std::size_t ell : {std::size_t{1}, std::size_t{12}, snap->live_points + 3}) {
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{9}}) {
+        const std::span<const PointD> block(queries.data(), batch);
+        std::vector<std::vector<Key>> pooled(batch);
+        for (const SegmentView& seg : snap->segments) {
+          shard_top_ell_batch(*seg.data, seg.dead_count == 0 ? nullptr : seg.dead->data(),
+                              block, ell, kind, /*approx=*/true, keys, scratch);
+          for (std::size_t q = 0; q < batch; ++q) {
+            pooled[q].insert(pooled[q].end(), keys[q].begin(), keys[q].end());
+          }
+        }
+        snapshot_approx_top_ell_batch(*snap, block, ell, kind, got, scratch);
+        ASSERT_EQ(got.size(), batch);
+        for (std::size_t q = 0; q < batch; ++q) {
+          const std::string label = std::string(metric_kind_name(kind)) + " ell=" +
+                                    std::to_string(ell) + " batch=" + std::to_string(batch) +
+                                    " q=" + std::to_string(q);
+          expect_same_keys(top_ell_smallest(std::span<const Key>(pooled[q]), ell), got[q],
+                           label);
+        }
+      }
+    }
+  }
 }
 
 TEST(AnnServe, ConcurrentApproxReadsDuringChurn) {

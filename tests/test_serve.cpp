@@ -14,8 +14,11 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -29,6 +32,7 @@
 #include "data/validate.hpp"
 #include "parity_support.hpp"
 #include "rng/rng.hpp"
+#include "seq/select.hpp"
 #include "serve/compactor.hpp"
 #include "serve/segment_store.hpp"
 #include "sim/thread_pool.hpp"
@@ -176,6 +180,91 @@ TEST(SegmentStore, SnapshotsAreImmutableUnderMutation) {
   EXPECT_FALSE(store.contains(frozen_answer[0].id));
 }
 
+// --- the flat id → row index -------------------------------------------------
+
+TEST(SegmentIndex, ReinsertedIdIsLiveOnlyInTheNewerSegment) {
+  Rng rng(43);
+  const ServeConfig config{.seal_threshold = 8, .policy = ScoringPolicy::Brute};
+  // Bulk ids in no particular order and with gaps.
+  std::vector<PointId> ids;
+  for (PointId id = 1; id <= 64; ++id) ids.push_back((id * 37) % 101);
+  SegmentStore store(3, uniform_points(ids.size(), 3, 50.0, rng), ids, config);
+  seed_store(store, 24, 3, 500, rng);  // three sealed 8-row segments
+  ASSERT_EQ(store.segment_count(), 4u);
+
+  const PointId reborn = ids[17];
+  ASSERT_TRUE(store.erase(reborn).has_value());
+  EXPECT_FALSE(store.contains(reborn));
+  const PointD moved = uniform_points(1, 3, 50.0, rng)[0];
+  store.insert(moved, reborn);
+  store.seal();
+  const SnapshotPtr snap = store.snapshot();
+  ASSERT_EQ(snap->segments.size(), 5u);
+  // The old row is still indexed but dead; the newest segment holds it live.
+  const SegmentView& old_segment = snap->segments.front();
+  const std::optional<std::uint32_t> old_row = old_segment.data->row_of(reborn);
+  ASSERT_TRUE(old_row.has_value());
+  EXPECT_EQ((*old_segment.dead)[*old_row], 1u);
+  const SegmentView& new_segment = snap->segments.back();
+  const std::optional<std::uint32_t> new_row = new_segment.data->row_of(reborn);
+  ASSERT_TRUE(new_row.has_value());
+  EXPECT_EQ((*new_segment.dead)[*new_row], 0u);
+  EXPECT_EQ(new_segment.data->store().id(*new_row), reborn);
+  for (std::size_t s = 1; s + 1 < snap->segments.size(); ++s) {
+    EXPECT_FALSE(snap->segments[s].data->row_of(reborn).has_value()) << "segment " << s;
+  }
+  EXPECT_TRUE(snap->contains(reborn));
+  const std::vector<Key> nearest = snapshot_top_ell(*snap, moved, 1, MetricKind::Euclidean);
+  ASSERT_EQ(nearest.size(), 1u);
+  EXPECT_EQ(nearest[0].id, reborn);
+  EXPECT_EQ(nearest[0].rank, 0u);
+
+  // A second erase tombstones the newer row; a third finds nothing live.
+  ASSERT_TRUE(store.erase(reborn).has_value());
+  EXPECT_FALSE(store.contains(reborn));
+  EXPECT_FALSE(store.erase(reborn).has_value());
+}
+
+TEST(SegmentIndex, ContainsAndEraseAgreeWithASetModel) {
+  Rng rng(44);
+  const ServeConfig config{.seal_threshold = 8, .policy = ScoringPolicy::Auto};
+  std::vector<PointId> ids;
+  for (PointId id = 0; id < 48; ++id) ids.push_back(1000 - 7 * id);
+  SegmentStore store(2, uniform_points(ids.size(), 2, 50.0, rng), ids, config);
+  std::set<PointId> model(ids.begin(), ids.end());
+  // Ids 1 … 1000: bulk ids, fresh inserts, re-inserts and ids never seen.
+  for (int step = 0; step < 600; ++step) {
+    const PointId id = 1 + rng.below(1000);
+    if (rng.bernoulli(0.5)) {
+      const std::optional<std::uint64_t> erased = store.erase(id);
+      ASSERT_EQ(erased.has_value(), model.erase(id) == 1) << "step " << step << " id " << id;
+    } else if (!model.contains(id)) {
+      store.insert(uniform_points(1, 2, 50.0, rng)[0], id);
+      model.insert(id);
+    }
+    if (step % 50 == 0) store.seal();
+  }
+  ASSERT_GE(store.segment_count(), 3u);
+  const SnapshotPtr snap = store.snapshot();
+  ASSERT_EQ(snap->live_points, model.size());
+  for (PointId id = 0; id <= 1001; ++id) {
+    ASSERT_EQ(store.contains(id), model.contains(id)) << "id " << id;
+    ASSERT_EQ(snap->contains(id), model.contains(id)) << "id " << id;
+  }
+}
+
+TEST(SegmentIndex, DuplicateIdsAtBulkBuildThrow) {
+  Rng rng(45);
+  for (const ScoringPolicy policy : {ScoringPolicy::Brute, ScoringPolicy::Tree}) {
+    const std::vector<PointId> ids = {9, 4, 7, 2, 4, 11};
+    EXPECT_THROW(SegmentStore(3, uniform_points(ids.size(), 3, 50.0, rng), ids,
+                              ServeConfig{.policy = policy}),
+                 InvariantError)
+        << scoring_policy_name(policy);
+  }
+}
+
+// --- compaction -------------------------------------------------------------
 // --- compaction -------------------------------------------------------------
 
 TEST(Compaction, MergesSmallSegmentsAndDropsTombstones) {
@@ -372,6 +461,133 @@ TEST(SegmentStoreDegenerate, TombstonedTreeSegmentKeepsTheTree) {
   }
 }
 
+// --- one running selection across a snapshot's segments ---------------------
+
+/// The composition snapshot scoring replaced: each live segment's own
+/// top-ℓ through shard_top_ell_batch, pooled per query and re-selected.
+std::vector<std::vector<Key>> pooled_segment_top_ell(const ServeSnapshot& snap,
+                                                     std::span<const PointD> queries,
+                                                     std::size_t ell, MetricKind kind) {
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> pooled(queries.size());
+  std::vector<std::vector<Key>> keys;
+  for (const SegmentView& seg : snap.segments) {
+    if (seg.live() == 0) continue;
+    shard_top_ell_batch(*seg.data, seg.dead_count == 0 ? nullptr : seg.dead->data(), queries,
+                        ell, kind, /*approx=*/false, keys, scratch);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      pooled[q].insert(pooled[q].end(), keys[q].begin(), keys[q].end());
+    }
+  }
+  for (std::vector<Key>& candidates : pooled) {
+    candidates = top_ell_smallest(std::span<const Key>(candidates), ell);
+  }
+  return pooled;
+}
+
+TEST(SnapshotSelection, RunningHeapMatchesRebuiltStoreAndPooledSegments) {
+  constexpr std::size_t kDim = 5;
+  Rng rng(41);
+  const ServeConfig config{.seal_threshold = 8, .policy = ScoringPolicy::Auto};
+  std::map<PointId, PointD> live;
+  // 2,048 bulk rows at d = 5: Auto gives the segment a kd-tree.
+  const std::vector<PointD> bulk = uniform_points(2048, kDim, 50.0, rng);
+  std::vector<PointId> bulk_ids;
+  for (std::size_t i = 0; i < bulk.size(); ++i) {
+    bulk_ids.push_back(1 + 2 * i);
+    live.emplace(bulk_ids.back(), bulk[i]);
+  }
+  SegmentStore store(kDim, bulk, bulk_ids, config);
+  PointId next_id = 100000;
+  const auto insert = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const PointD point = uniform_points(1, kDim, 50.0, rng)[0];
+      store.insert(point, next_id);
+      live.emplace(next_id++, point);
+    }
+  };
+  const auto erase = [&](PointId id) {
+    ASSERT_TRUE(store.erase(id).has_value()) << id;
+    live.erase(id);
+  };
+  insert(40);  // five sealed 8-row segments, smaller than ℓ = 16
+  // Merge the three oldest: the 24-row result lands after two 8-row ones.
+  const SegmentStore::CompactionPlan plan = store.plan_compaction(
+      CompactionConfig{.max_dead_fraction = 0.9, .min_segment_points = 16, .max_victims = 3});
+  ASSERT_EQ(plan.victims.size(), 3u);
+  ASSERT_TRUE(store.install_compaction(plan, SegmentStore::merge_segments(plan.victims, config)));
+  insert(16);  // two more 8-row segments
+  {
+    const SnapshotPtr before = store.snapshot();
+    const FlatStore& doomed = before->segments.back().data->store();
+    for (std::size_t row = 0; row < doomed.size(); ++row) erase(doomed.id(row));
+    erase(before->segments[1].data->store().id(3));
+    erase(before->segments[3].data->store().id(0));
+  }
+  for (PointId id = 1; id < 400; id += 6) erase(id);  // tombstones across the tree
+  insert(5);                                           // an unsealed delta
+
+  const SnapshotPtr snap = store.snapshot();
+  ASSERT_EQ(snap->segments.size(), 7u);
+  ASSERT_NE(snap->segments[0].data->tree, nullptr);
+  EXPECT_GT(snap->segments[0].dead_count, 0u);
+  EXPECT_EQ(snap->segments[1].rows(), 8u);
+  EXPECT_EQ(snap->segments[1].dead_count, 1u);
+  EXPECT_EQ(snap->segments[2].rows(), 8u);
+  EXPECT_EQ(snap->segments[3].rows(), 24u);  // the merged segment
+  EXPECT_EQ(snap->segments[4].rows(), 8u);
+  EXPECT_EQ(snap->segments[5].live(), 0u);  // fully tombstoned
+  EXPECT_EQ(snap->segments[6].rows(), 5u);  // the delta
+  ASSERT_EQ(snap->live_points, live.size());
+
+  std::vector<PointD> live_points;
+  std::vector<PointId> live_ids;
+  for (const auto& [id, point] : live) {
+    live_ids.push_back(id);
+    live_points.push_back(point);
+  }
+  const FlatStore rebuilt(live_points, live_ids);
+  std::vector<PointD> queries = uniform_points(17, kDim, 50.0, rng);
+  queries[3] = live.begin()->second;  // on a live row
+  queries[9] = bulk[0];               // on a dead one
+
+  KernelScratch scratch;
+  std::vector<std::vector<Key>> got;
+  std::vector<std::vector<Key>> expected;
+  const std::uint64_t traversals = store.tree_stats().queries;
+  std::size_t batches = 0;
+  for (std::size_t level = 0; level < simd::kIsaCount; ++level) {
+    const auto isa = static_cast<simd::Isa>(level);
+    if (!simd::isa_supported(isa)) continue;
+    const simd::ScopedForceIsa pin(isa);
+    for (const MetricKind kind : kAllKinds) {
+      for (const std::size_t ell : {std::size_t{1}, std::size_t{16}, live.size() + 5}) {
+        for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{17}}) {
+          const std::span<const PointD> block(queries.data(), batch);
+          const std::string label = std::string(simd::isa_name(isa)) + " " +
+                                    metric_kind_name(kind) + " ell=" + std::to_string(ell) +
+                                    " batch=" + std::to_string(batch);
+          snapshot_top_ell_batch(*snap, block, ell, kind, got, scratch);
+          fused_top_ell_batch(rebuilt, block, ell, kind, expected, scratch);
+          const auto pooled = pooled_segment_top_ell(*snap, block, ell, kind);
+          ASSERT_EQ(got.size(), batch) << label;
+          for (std::size_t q = 0; q < batch; ++q) {
+            const std::string at = label + " q=" + std::to_string(q);
+            ASSERT_NO_FATAL_FAILURE(expect_same_keys(expected[q], got[q], at + " rebuilt"));
+            ASSERT_NO_FATAL_FAILURE(expect_same_keys(pooled[q], got[q], at + " pooled"));
+          }
+          ++batches;
+        }
+      }
+    }
+  }
+  // Each batch traversed the tree once per query, for the running heap and
+  // for the pooled reference.
+  EXPECT_GT(batches, 0u);
+  EXPECT_GT(store.tree_stats().queries, traversals);
+}
+
+// --- tree counters across compaction ----------------------------------------
 // --- tree counters across compaction ----------------------------------------
 
 // Pins the ServiceStats::tree / SegmentStore::tree_stats contract: the
